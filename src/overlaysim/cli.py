@@ -171,7 +171,8 @@ def cmd_run(args) -> int:
             return EXIT_FAIL
         print("conflict report: empty")
 
-    trace = run(overlay, graph, cfg.workers, unsafe=cfg.unsafe)
+    # an empty report above already cleared the graph, so run() need not check again
+    trace = run(overlay, graph, cfg.workers, unsafe=cfg.unsafe or cfg.check_races)
     if cfg.trace:
         emit_trace(trace, cfg.trace)
         print(f"trace: {len(trace.records)} records -> {cfg.trace}")

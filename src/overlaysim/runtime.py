@@ -85,7 +85,11 @@ class GraphEdge:
 
 
 class TaskGraph:
-    """Acyclic task graph with queue-order chains embedded as edges."""
+    """Acyclic task graph with queue-order chains embedded as edges.
+
+    Construction rejects a cycle with a witness and records `topo_order`, a
+    topological order of the task ids.
+    """
 
     def __init__(self, tasks: list[TaskInstance], edges: list[GraphEdge]):
         self.tasks = list(tasks)
@@ -96,21 +100,28 @@ class TaskGraph:
         for e in self.edges:
             self.preds[e.dep].add(e.pre)
             self.succs[e.pre].add(e.dep)
+        self.topo_order = self._topological_order()
+
+    def _topological_order(self) -> list[int]:
+        """Kahn's algorithm; whatever cannot be peeled off sits on a cycle."""
+        degree = {tid: len(ps) for tid, ps in self.preds.items()}
+        ready = [tid for tid, d in degree.items() if d == 0]
+        order: list[int] = []
+        while ready:
+            node = ready.pop()
+            order.append(node)
+            for nxt in self.succs[node]:
+                degree[nxt] -= 1
+                if degree[nxt] == 0:
+                    ready.append(nxt)
+        if len(order) != len(self.tasks):
+            stuck = {tid for tid, d in degree.items() if d > 0}
+            cyclic_preds = {tid: {p for p in self.preds[tid] if p in stuck} for tid in stuck}
+            raise CyclicDependenceError(_find_cycle(cyclic_preds, stuck))
+        return order
 
     def edge_pairs(self) -> list[tuple[int, int]]:
         return sorted({(e.pre, e.dep) for e in self.edges})
-
-    def reachable_from(self, task_id: int) -> set[int]:
-        """All task ids strictly after task_id in the transitive closure."""
-        seen: set[int] = set()
-        stack = list(self.succs[task_id])
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(self.succs[node])
-        return seen
 
     def queues(self) -> dict[int, list[TaskInstance]]:
         by_queue: dict[int, list[TaskInstance]] = {}
@@ -139,7 +150,7 @@ def build_task_graph(tasks, rules) -> TaskGraph:
 
     A rule contributes an edge only where the prerequisite instance exists:
     rules pointing at negative iterations or at skipped tasks are silently
-    inert.  Cycles are rejected with a witness.
+    inert.  Cycles are rejected with a witness (see TaskGraph).
     """
     tasks = list(tasks)
     ids = [t.id for t in tasks]
@@ -176,24 +187,7 @@ def build_task_graph(tasks, rules) -> TaskGraph:
         for earlier, later in zip(fifo, fifo[1:]):
             add(earlier.id, later.id, "queue-order")
 
-    graph = TaskGraph(tasks, edges)
-
-    # Kahn's algorithm; whatever cannot be peeled off sits on a cycle
-    degree = {tid: len(ps) for tid, ps in graph.preds.items()}
-    ready = [tid for tid, d in degree.items() if d == 0]
-    removed = 0
-    while ready:
-        node = ready.pop()
-        removed += 1
-        for nxt in graph.succs[node]:
-            degree[nxt] -= 1
-            if degree[nxt] == 0:
-                ready.append(nxt)
-    if removed != len(tasks):
-        stuck = {tid for tid, d in degree.items() if d > 0}
-        cyclic_preds = {tid: {p for p in graph.preds[tid] if p in stuck} for tid in stuck}
-        raise CyclicDependenceError(_find_cycle(cyclic_preds, stuck))
-    return graph
+    return TaskGraph(tasks, edges)
 
 
 @dataclass(frozen=True)
@@ -216,15 +210,35 @@ def check_dependence_sufficiency(graph: TaskGraph) -> list[Conflict]:
     """Report every conflicting task pair the transitive closure leaves unordered.
 
     An empty report means the declared dependences (plus queue order) are
-    sufficient to make the shared-buffer accesses race-free.
+    sufficient to make the shared-buffer accesses race-free.  The closure is
+    one ancestor and one descendant bitset per task, bit i standing for the
+    task of i-th smallest id; only the pairs it leaves unordered have their
+    access sets compared.  Pairs come out in ascending id order.
     """
     order = sorted(graph.tasks, key=lambda t: t.id)
-    reach = {t.id: graph.reachable_from(t.id) for t in order}
+    bit = {t.id: 1 << i for i, t in enumerate(order)}
+    anc: dict[int, int] = {}
+    for tid in graph.topo_order:
+        bits = 0
+        for p in graph.preds[tid]:
+            bits |= anc[p] | bit[p]
+        anc[tid] = bits
+    desc: dict[int, int] = {}
+    for tid in reversed(graph.topo_order):
+        bits = 0
+        for s in graph.succs[tid]:
+            bits |= desc[s] | bit[s]
+        desc[tid] = bits
+
+    everyone = (1 << len(order)) - 1
     conflicts: list[Conflict] = []
     for i, t1 in enumerate(order):
-        for t2 in order[i + 1:]:
-            if t2.id in reach[t1.id] or t1.id in reach[t2.id]:
-                continue
+        later = everyone >> (i + 1) << (i + 1)
+        unordered = later & ~(anc[t1.id] | desc[t1.id])
+        while unordered:
+            low = unordered & -unordered
+            unordered ^= low
+            t2 = order[low.bit_length() - 1]
             seen = set()
             for s1 in t1.access_sets:
                 for s2 in t2.access_sets:
@@ -465,6 +479,16 @@ def validate_trace(trace: ExecutionTrace) -> list[str]:
                     f"queue {q}: tasks {a.id} and {b.id} overlap in virtual time")
             if a.id > b.id:
                 problems.append(f"queue {q}: tasks {a.id} and {b.id} violate FIFO order")
+    by_worker: dict[int, list[TraceRecord]] = {}
+    for r in trace.records:
+        if r.worker < 0:
+            problems.append(f"task {r.id}: worker {r.worker} is negative")
+        by_worker.setdefault(r.worker, []).append(r)
+    for w, recs in by_worker.items():
+        for a, b in zip(recs, recs[1:]):
+            if a.vend > b.vstart:
+                problems.append(
+                    f"worker {w}: tasks {a.id} and {b.id} overlap in virtual time")
     for pre, dep in trace.edges:
         if pre not in by_id or dep not in by_id:
             problems.append(f"edge ({pre}, {dep}) references an unknown task")

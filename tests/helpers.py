@@ -1,12 +1,15 @@
 """Brute-force helpers for the test suite.
 
 These reimplement checks at element granularity, independently of the
-library's interval-based machinery, so the two can be compared.
+library's interval-based machinery, so the two can be compared.  The
+quadratic conflict checker the library once used is kept here as the
+reference for its bitset version.
 """
 
 import itertools
 
 from overlaysim.overlay import IpDescriptor, build_overlay, command
+from overlaysim.runtime import Conflict
 
 
 def element_footprint(acc):
@@ -60,6 +63,34 @@ def element_level_races(graph):
             if (w1 & (r2 | w2)) or (w2 & (r1 | w1)):
                 races.add((t1.id, t2.id))
     return races
+
+
+def reference_conflicts(graph):
+    """The quadratic conflict checker: every task pair, probed against per-task closures.
+
+    The reference for runtime.check_dependence_sufficiency, which must return
+    the same list in the same order.
+    """
+    closure = ordered_pairs(graph)
+    order = sorted(graph.tasks, key=lambda t: t.id)
+    conflicts = []
+    for i, t1 in enumerate(order):
+        for t2 in order[i + 1:]:
+            if t2.id in closure[t1.id] or t1.id in closure[t2.id]:
+                continue
+            seen = set()
+            for s1 in t1.access_sets:
+                for s2 in t2.access_sets:
+                    if not s1.conflicts_with(s2):
+                        continue
+                    overlap = s1.intersection(s2)
+                    key = (s1.buffer_id, overlap, s1.mode, s2.mode)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    conflicts.append(Conflict(t1.id, t2.id, s1.buffer_id,
+                                              overlap, (s1.mode, s2.mode)))
+    return conflicts
 
 
 def noop_overlay(n_queues):

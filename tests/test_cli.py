@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from overlaysim import cli, runtime
 from overlaysim.cli import main
 from overlaysim.tensors import write_tensor_text
 from overlaysim.apps import dominant_matrix
@@ -65,6 +66,20 @@ class TestRunLu:
     def test_check_races_clean(self, capsys):
         assert run_cli("run", "lu", "--n", "2", "--m", "2", "--check-races") == 0
         assert "conflict report: empty" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [(), ("--check-races",)])
+    def test_conflict_check_runs_once(self, monkeypatch, flags):
+        count = []
+        real = runtime.check_dependence_sufficiency
+
+        def counting(graph):
+            count.append(1)
+            return real(graph)
+
+        monkeypatch.setattr(cli, "check_dependence_sufficiency", counting)
+        monkeypatch.setattr(runtime, "check_dependence_sufficiency", counting)
+        assert run_cli("run", "lu", "--n", "2", "--m", "2", *flags) == 0
+        assert len(count) == 1
 
     def test_overlay_manifest_path(self, tmp_path):
         manifest = tmp_path / "lu.overlay.json"
@@ -142,6 +157,17 @@ class TestInspect:
         capsys.readouterr()
         assert run_cli("inspect-trace", str(trace)) == 1
         assert "validation FAILED" in capsys.readouterr().out
+
+    def test_worker_slot_overlap_fails_validation(self, tmp_path, capsys):
+        trace = tmp_path / "t.trace"
+        trace.write_text(
+            '{"id": 0, "kind": "a", "iter": 0, "queue": 0, "vstart": 0, "vend": 10, "worker": 0}\n'
+            '{"id": 1, "kind": "b", "iter": 0, "queue": 1, "vstart": 5, "vend": 8, "worker": 0}\n'
+            '{"edges": []}\n')
+        assert run_cli("inspect-trace", str(trace)) == 1
+        out = capsys.readouterr().out
+        assert "validation FAILED" in out
+        assert "worker 0: tasks 0 and 1 overlap in virtual time" in out
 
     def test_malformed_trace_is_parse_failure(self, tmp_path):
         bad = tmp_path / "bad.trace"

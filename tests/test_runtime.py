@@ -12,6 +12,11 @@ from overlaysim.apps import (
     lu_generate_tasks,
     lu_overlay,
     lu_rules,
+    random_input,
+    seeded_weights,
+    tiny_config,
+    vgg_generate_tasks,
+    vgg_overlay,
 )
 from overlaysim.runtime import (
     IterCondition,
@@ -23,10 +28,12 @@ from overlaysim.runtime import (
     run,
     validate_trace,
     ExecutionTrace,
+    TaskInstance,
     TraceRecord,
 )
+from overlaysim.tensors import MODES, AccessSet
 
-from helpers import element_level_races, noop_overlay
+from helpers import element_level_races, noop_overlay, reference_conflicts
 
 
 def lu_setup(n, m, seed=0, dtype=np.float64):
@@ -198,6 +205,90 @@ class TestSufficiency:
         races = {tuple(sorted(p)) for p in element_level_races(graph)}
         assert report_pairs == races
         assert report_pairs
+
+
+class TestCheckerMatchesReference:
+    """The bitset checker returns the quadratic reference's list, order included."""
+
+    def test_rule_edge_from_higher_to_lower_id_orders_the_pair(self):
+        writes = (AccessSet(0, ((0, 2),), "write"),)
+        a = TaskInstance(0, "a", 0, 0, (), writes)
+        b = TaskInstance(1, "b", 1, 0, (), writes)
+        graph = build_task_graph([a, b], [depend("a", "b", 0)])
+        assert graph.edge_pairs() == [(1, 0)]
+        assert check_dependence_sufficiency(graph) == reference_conflicts(graph) == []
+
+    @pytest.mark.parametrize("n,m", [(3, 2), (4, 4)])
+    @pytest.mark.parametrize("drop", range(5))
+    def test_lu_with_one_rule_dropped(self, n, m, drop):
+        _, _, tasks, rules = lu_setup(n, m)
+        assert len(rules) == 5
+        graph = build_task_graph(tasks, rules[:drop] + rules[drop + 1:])
+        report = check_dependence_sufficiency(graph)
+        assert report
+        assert report == reference_conflicts(graph)
+
+    @pytest.mark.parametrize("drop", range(10))
+    def test_vgg_batch2_with_one_rule_dropped(self, drop):
+        config = tiny_config(2)
+        tasks, rules, _ = vgg_generate_tasks(config, random_input(config, 0),
+                                             seeded_weights(config, 1), vgg_overlay())
+        assert len(rules) == 10
+        graph = build_task_graph(tasks, rules[:drop] + rules[drop + 1:])
+        report = check_dependence_sufficiency(graph)
+        assert report
+        assert report == reference_conflicts(graph)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_checker_matches_reference_on_random_graphs(data):
+    """Random tasks, access sets and rules, with gaps in the ids and rule edges
+    that run from a higher id to a lower one."""
+    n_kinds = data.draw(st.integers(2, 5))
+    n_queues = data.draw(st.integers(2, 3))
+    iters = data.draw(st.integers(1, 4))
+    kind_queue = [data.draw(st.integers(0, n_queues - 1)) for _ in range(n_kinds)]
+    # same-iteration rules follow a random rank of the kinds; the kinds that share
+    # a queue keep their FIFO (id) order in it, so the graph stays acyclic
+    rank = data.draw(st.permutations(range(n_kinds)))
+    for q in range(n_queues):
+        on_q = [k for k in range(n_kinds) if kind_queue[k] == q]
+        for k, r in zip(on_q, sorted(rank[k] for k in on_q)):
+            rank[k] = r
+
+    extents = {0: (4, 4), 1: (6,), 2: (1,)}  # buffer 2 is the one-cell feature buffer
+    buffers = data.draw(st.sampled_from([(0, 2), (0, 1, 2)]))
+
+    def draw_access_set():
+        buffer_id = data.draw(st.sampled_from(buffers))
+        ranges = []
+        for extent in extents[buffer_id]:
+            lo = data.draw(st.integers(0, extent - 1))
+            ranges.append((lo, data.draw(st.integers(lo + 1, extent))))
+        return AccessSet(buffer_id, tuple(ranges), data.draw(st.sampled_from(MODES)))
+
+    present = st.sampled_from([True, True, True, False])
+    slots = [(i, k) for i in range(iters) for k in range(n_kinds) if data.draw(present)]
+    ids = sorted(data.draw(st.sets(st.integers(0, 200), min_size=len(slots),
+                                   max_size=len(slots))))
+    tasks = [TaskInstance(tid, f"k{k}", kind_queue[k], i, (),
+                          tuple(draw_access_set() for _ in range(data.draw(st.integers(0, 3)))))
+             for tid, (i, k) in zip(ids, slots)]
+    rules = []
+    for dep_k in range(n_kinds):
+        for pre_k in range(n_kinds):
+            if rank[pre_k] < rank[dep_k] and data.draw(st.booleans()):
+                rules.append(depend(f"k{dep_k}", f"k{pre_k}", 0))
+            if data.draw(st.booleans()):
+                cond = None
+                if data.draw(st.booleans()):
+                    cond = IterCondition(data.draw(st.sampled_from([">", "=="])),
+                                         data.draw(st.integers(0, 3)))
+                rules.append(depend(f"k{dep_k}", f"k{pre_k}", data.draw(st.integers(1, 2)),
+                                    cond))
+    graph = build_task_graph(tasks, rules)
+    assert check_dependence_sufficiency(graph) == reference_conflicts(graph)
 
 
 class TestRun:
@@ -384,6 +475,20 @@ class TestTraceFiles:
         rs = [TraceRecord(0, "k", 0, 0, 0, 5, 0), TraceRecord(1, "k", 1, 0, 3, 6, 1)]
         problems = validate_trace(ExecutionTrace(rs, []))
         assert any("overlap" in p for p in problems)
+
+    def test_validate_catches_worker_overlap_across_queues(self):
+        rs = [TraceRecord(3, "k", 0, 0, 0, 10, 0), TraceRecord(5, "k", 0, 1, 5, 8, 0)]
+        problems = validate_trace(ExecutionTrace(rs, []))
+        assert problems == ["worker 0: tasks 3 and 5 overlap in virtual time"]
+
+    def test_validate_accepts_back_to_back_on_one_worker(self):
+        rs = [TraceRecord(0, "k", 0, 0, 0, 5, 0), TraceRecord(1, "k", 0, 1, 5, 8, 0)]
+        assert validate_trace(ExecutionTrace(rs, [])) == []
+
+    def test_validate_catches_negative_worker(self):
+        rs = [TraceRecord(4, "k", 0, 0, 0, 1, -3)]
+        problems = validate_trace(ExecutionTrace(rs, []))
+        assert problems == ["task 4: worker -3 is negative"]
 
     def test_validate_catches_edge_violation(self):
         rs = [TraceRecord(0, "k", 0, 0, 0, 2, 0), TraceRecord(1, "k", 0, 1, 0, 2, 1)]
