@@ -3,9 +3,11 @@
 
 Shows how much cross-queue overlap the dependence structure allows: the
 results are bit-identical at every worker count, only the schedule changes.
+Exits 1 if any worker count's result differs from the first one's.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -26,6 +28,7 @@ def main():
     args = parser.parse_args()
 
     reference = None
+    all_identical = True
     print(f"blocked LU, n={args.n}, m={args.m} ({args.n * args.m}x{args.n * args.m})")
     for workers in args.workers:
         problem = LuProblem(dominant_matrix(args.n, args.m, args.seed), args.n, args.m)
@@ -38,10 +41,12 @@ def main():
             identical = True
         else:
             identical = bool(np.array_equal(reference, problem.a.data))
+            all_identical &= identical
         print(f"  workers={workers}: {len(trace.records)} tasks, "
               f"virtual makespan {makespan(trace)}, "
               f"results identical to workers={args.workers[0]}: {identical}")
+    return 0 if all_identical else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -31,7 +31,6 @@ from .overlay import (
     CommandInterface,
     IpDescriptor,
     Overlay,
-    build_overlay,
     command,
     load_overlay,
 )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..overlay import IP_REGISTRY, Overlay, build_overlay, command
+from ..overlay import IP_REGISTRY, Overlay, command
 from ..runtime import DependenceRule, IterCondition, TaskInstance, build_task_graph, depend, run
 from ..tensors import DEFAULT_DTYPE, TensorBuffer, bcropped
 
@@ -55,7 +55,7 @@ def dominant_matrix(n: int, m: int, seed: int, dtype=DEFAULT_DTYPE) -> TensorBuf
 
 
 def lu_overlay() -> Overlay:
-    return build_overlay("lu", [
+    return Overlay("lu", [
         command(IP_REGISTRY["LU"], 0),
         command(IP_REGISTRY["TransformRowPanel"], 1),
         command(IP_REGISTRY["TransformColumnPanel"], 2),

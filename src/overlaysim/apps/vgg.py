@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..overlay import IP_REGISTRY, Overlay, build_overlay, command
+from ..overlay import IP_REGISTRY, Overlay, command
 from ..runtime import DependenceRule, TaskInstance, build_task_graph, depend, run
 from ..tensors import DEFAULT_DTYPE, TensorBuffer, cropped, new_buffer
 
@@ -126,7 +126,7 @@ def _check_weights(config: VggConfig, weights: VggWeights) -> None:
 
 
 def vgg_overlay() -> Overlay:
-    return build_overlay("vgg", [
+    return Overlay("vgg", [
         command(IP_REGISTRY["Convolution"], 0),
         command(IP_REGISTRY["Maxpool"], 1),
     ])

@@ -70,7 +70,8 @@ def command(ip: IpDescriptor, queue_no: int,
 
 
 class Overlay:
-    """Container for command interfaces plus their runtime queues."""
+    """A named set of command interfaces, one per queue, plus the feature
+    buffer when any kernel uses one; enqueue() numbers the tasks."""
 
     def __init__(self, name: str, interfaces):
         interfaces = list(interfaces)
@@ -85,7 +86,6 @@ class Overlay:
             )
         self.name = name
         self.interfaces = {ci.queue_no: ci for ci in interfaces}
-        self.queues: dict[int, list[TaskInstance]] = {q: [] for q in self.interfaces}
         needs_fb = any(ci.ip.uses_feature_buffer for ci in interfaces)
         self.feature_buffer: FeatureBuffer | None = FeatureBuffer() if needs_fb else None
         self._task_ids = itertools.count()
@@ -135,7 +135,6 @@ class Overlay:
             args=params,
             access_sets=tuple(iface.ip.access_sets(params, self.feature_buffer)),
         )
-        self.queues[queue_no].append(task)
         return task
 
     def manifest(self) -> dict:
@@ -153,16 +152,11 @@ class Overlay:
             fh.write("\n")
 
 
-def build_overlay(name: str, interfaces) -> Overlay:
-    """Materialize the runtime object for a set of command interfaces."""
-    return Overlay(name, interfaces)
-
-
 def load_overlay(path) -> Overlay:
     """Rebuild an overlay from a manifest, rebinding kernels by name.
 
     Loading is idempotent: every load yields an equivalent overlay with the
-    same queue map and empty queues.
+    same queue map and a fresh task numbering.
     """
     try:
         with open(path) as fh:
@@ -186,7 +180,7 @@ def load_overlay(path) -> Overlay:
                 f"kernel {entry['name']}"
             )
         interfaces.append(command(ip, int(entry["queue"])))
-    return build_overlay(doc["name"], interfaces)
+    return Overlay(doc["name"], interfaces)
 
 
 # --- kernel adapters --------------------------------------------------------

@@ -2,10 +2,14 @@
 
 Tasks enqueued on an overlay become nodes; edges come from two sources:
 distance-d dependence rules between task kinds, and the FIFO order of each
-command queue.  The scheduler runs task bodies on a thread pool, starting a
-task only once all graph predecessors completed and it is the oldest
-unfinished task of its queue.  Traces report deterministic virtual times
-computed from per-task work estimates, not wall-clock times.
+command queue.  One rule decides when a task may start: all its graph
+predecessors have completed.  Queue order needs nothing more, since the FIFO
+edges make such a task the oldest unfinished one of its queue.  A single Kahn
+frontier applies the rule for the topological order, for the thread-pool
+executor and for the virtual replay.  Traces report deterministic virtual
+times computed from per-task work estimates, not wall-clock times; the replay
+starts the lowest ready id on the lowest free worker slot, and tasks whose
+virtual end times are equal complete together.
 """
 
 from __future__ import annotations
@@ -104,18 +108,13 @@ class TaskGraph:
 
     def _topological_order(self) -> list[int]:
         """Kahn's algorithm; whatever cannot be peeled off sits on a cycle."""
-        degree = {tid: len(ps) for tid, ps in self.preds.items()}
-        ready = [tid for tid, d in degree.items() if d == 0]
+        frontier = _Frontier(self)
         order: list[int] = []
-        while ready:
-            node = ready.pop()
-            order.append(node)
-            for nxt in self.succs[node]:
-                degree[nxt] -= 1
-                if degree[nxt] == 0:
-                    ready.append(nxt)
+        while frontier:
+            order.append(frontier.pop())
+            frontier.complete(order[-1])
         if len(order) != len(self.tasks):
-            stuck = {tid for tid, d in degree.items() if d > 0}
+            stuck = {tid for tid, d in frontier.waiting.items() if d > 0}
             cyclic_preds = {tid: {p for p in self.preds[tid] if p in stuck} for tid in stuck}
             raise CyclicDependenceError(_find_cycle(cyclic_preds, stuck))
         return order
@@ -123,11 +122,33 @@ class TaskGraph:
     def edge_pairs(self) -> list[tuple[int, int]]:
         return sorted({(e.pre, e.dep) for e in self.edges})
 
-    def queues(self) -> dict[int, list[TaskInstance]]:
-        by_queue: dict[int, list[TaskInstance]] = {}
-        for t in sorted(self.tasks, key=lambda t: t.id):
-            by_queue.setdefault(t.queue_no, []).append(t)
-        return by_queue
+
+class _Frontier:
+    """The tasks whose predecessors have all completed, as a min-heap of ids.
+
+    pop() takes out the lowest ready id; complete(tid) makes ready every
+    successor of tid that has no other predecessor left.  The counters count
+    distinct predecessors, since a rule edge and a queue-order edge may join
+    the same pair.
+    """
+
+    def __init__(self, graph: TaskGraph):
+        self.succs = graph.succs
+        self.waiting = {tid: len(ps) for tid, ps in graph.preds.items()}
+        self.ready = [tid for tid, d in self.waiting.items() if d == 0]
+        heapq.heapify(self.ready)
+
+    def __bool__(self) -> bool:
+        return bool(self.ready)
+
+    def pop(self) -> int:
+        return heapq.heappop(self.ready)
+
+    def complete(self, tid: int) -> None:
+        for nxt in self.succs[tid]:
+            self.waiting[nxt] -= 1
+            if self.waiting[nxt] == 0:
+                heapq.heappush(self.ready, nxt)
 
 
 def _find_cycle(preds: dict[int, set[int]], candidates: set[int]) -> list[int]:
@@ -272,35 +293,23 @@ class ExecutionTrace:
 
 
 def _execute(overlay, graph: TaskGraph, worker_count: int) -> dict[int, int]:
-    """Run every task body once, respecting edges and queue order.
+    """Run every task body once, respecting the graph's edges.
 
+    Ready tasks are submitted in id order as their predecessors complete.
     Returns the per-task flop estimates reported by the kernels.  A failing
     task aborts scheduling: unstarted tasks are cancelled and the failure is
     re-raised with the task id attached.
     """
-    queues = graph.queues()
-    queue_pos = {q: 0 for q in queues}
-    done: set[int] = set()
+    frontier = _Frontier(graph)
     in_flight: dict = {}
     flops: dict[int, int] = {}
-
-    def ready():
-        running = {t.id for t in in_flight.values()}
-        out = []
-        for q, fifo in queues.items():
-            pos = queue_pos[q]
-            if pos < len(fifo):
-                head = fifo[pos]
-                if head.id not in running and graph.preds[head.id] <= done:
-                    out.append(head)
-        return out
-
     with ThreadPoolExecutor(max_workers=worker_count) as pool:
         try:
-            for t in ready():
-                iface = overlay.interface(t.queue_no)
-                in_flight[pool.submit(iface.ip.run, t.args, overlay.feature_buffer)] = t
-            while in_flight:
+            while frontier or in_flight:
+                while frontier:
+                    t = graph.by_id[frontier.pop()]
+                    iface = overlay.interface(t.queue_no)
+                    in_flight[pool.submit(iface.ip.run, t.args, overlay.feature_buffer)] = t
                 finished, _ = wait(list(in_flight), return_when=FIRST_COMPLETED)
                 for fut in finished:
                     task = in_flight.pop(fut)
@@ -308,16 +317,12 @@ def _execute(overlay, graph: TaskGraph, worker_count: int) -> dict[int, int]:
                         flops[task.id] = int(fut.result())
                     except Exception as exc:
                         raise TaskExecutionError(task.id, task.kind) from exc
-                    done.add(task.id)
-                    queue_pos[task.queue_no] += 1
-                for t in ready():
-                    iface = overlay.interface(t.queue_no)
-                    in_flight[pool.submit(iface.ip.run, t.args, overlay.feature_buffer)] = t
+                    frontier.complete(task.id)
         except Exception:
             for fut in in_flight:
                 fut.cancel()
             raise
-    if len(done) != len(graph.tasks):
+    if len(flops) != len(graph.tasks):
         raise OverlayError("scheduler stalled with tasks remaining (graph inconsistent)")
     return flops
 
@@ -326,52 +331,28 @@ def _virtual_schedule(graph: TaskGraph, flops: dict[int, int],
                       worker_count: int) -> list[TraceRecord]:
     """Deterministic list-scheduling replay producing virtual start/end times.
 
-    Each activation grabs the lowest free worker slot; among simultaneously
-    eligible tasks the lowest id starts first.  Eligibility mirrors the real
-    scheduler: graph predecessors completed and oldest unfinished in queue.
+    While a worker slot is free, the lowest ready id starts on the lowest
+    free slot; then the clock jumps to the earliest end, and every task
+    ending at that time completes.
     """
-    queues = graph.queues()
-    queue_pos = {q: 0 for q in queues}
-    duration = {tid: max(1, flops.get(tid, 0) // VIRTUAL_TIME_DIVISOR)
-                for tid in graph.by_id}
-    done: set[int] = set()
-    started: set[int] = set()
-    free = list(range(worker_count))
-    heapq.heapify(free)
+    frontier = _Frontier(graph)
+    free = list(range(worker_count))  # ascending, hence already a heap
     running: list[tuple[int, int, int]] = []  # (end, slot, task id)
     records: list[TraceRecord] = []
     clock = 0
-
-    def eligible():
-        out = []
-        for q, fifo in queues.items():
-            pos = queue_pos[q]
-            if pos < len(fifo):
-                head = fifo[pos]
-                if head.id not in started and graph.preds[head.id] <= done:
-                    out.append(head)
-        return sorted(out, key=lambda t: t.id)
-
-    while len(done) < len(graph.tasks):
-        for t in eligible():
-            if not free:
-                break
+    while frontier or running:
+        while frontier and free:
+            t = graph.by_id[frontier.pop()]
             slot = heapq.heappop(free)
-            end = clock + duration[t.id]
+            end = clock + max(1, flops.get(t.id, 0) // VIRTUAL_TIME_DIVISOR)
             records.append(TraceRecord(t.id, t.kind, t.iteration, t.queue_no,
                                        clock, end, slot))
             heapq.heappush(running, (end, slot, t.id))
-            started.add(t.id)
-        end, slot, tid = heapq.heappop(running)
-        clock = end
-        batch = [(slot, tid)]
+        clock = running[0][0]
         while running and running[0][0] == clock:
-            _, s2, t2 = heapq.heappop(running)
-            batch.append((s2, t2))
-        for s, t in batch:
-            heapq.heappush(free, s)
-            done.add(t)
-            queue_pos[graph.by_id[t].queue_no] += 1
+            _, slot, tid = heapq.heappop(running)
+            heapq.heappush(free, slot)
+            frontier.complete(tid)
     records.sort(key=lambda r: (r.vstart, r.id))
     return records
 

@@ -2,14 +2,15 @@
 
 These reimplement checks at element granularity, independently of the
 library's interval-based machinery, so the two can be compared.  The
-quadratic conflict checker the library once used is kept here as the
-reference for its bitset version.
+quadratic conflict checker and the queue-scanning virtual replay the library
+once used are kept here as the references for their replacements.
 """
 
+import heapq
 import itertools
 
-from overlaysim.overlay import IpDescriptor, build_overlay, command
-from overlaysim.runtime import Conflict
+from overlaysim.overlay import IpDescriptor, Overlay, command
+from overlaysim.runtime import VIRTUAL_TIME_DIVISOR, Conflict, TraceRecord
 
 
 def element_footprint(acc):
@@ -93,6 +94,61 @@ def reference_conflicts(graph):
     return conflicts
 
 
+def reference_virtual_schedule(graph, flops, worker_count):
+    """The queue-scanning replay: a task is eligible when it heads its queue,
+    has not started and all its predecessors are done.
+
+    The reference for runtime._virtual_schedule, which must return the same
+    records in the same order.
+    """
+    queues = {}
+    for t in sorted(graph.tasks, key=lambda t: t.id):
+        queues.setdefault(t.queue_no, []).append(t)
+    queue_pos = {q: 0 for q in queues}
+    duration = {tid: max(1, flops.get(tid, 0) // VIRTUAL_TIME_DIVISOR)
+                for tid in graph.by_id}
+    done = set()
+    started = set()
+    free = list(range(worker_count))
+    heapq.heapify(free)
+    running = []  # (end, slot, task id)
+    records = []
+    clock = 0
+
+    def eligible():
+        out = []
+        for q, fifo in queues.items():
+            pos = queue_pos[q]
+            if pos < len(fifo):
+                head = fifo[pos]
+                if head.id not in started and graph.preds[head.id] <= done:
+                    out.append(head)
+        return sorted(out, key=lambda t: t.id)
+
+    while len(done) < len(graph.tasks):
+        for t in eligible():
+            if not free:
+                break
+            slot = heapq.heappop(free)
+            end = clock + duration[t.id]
+            records.append(TraceRecord(t.id, t.kind, t.iteration, t.queue_no,
+                                       clock, end, slot))
+            heapq.heappush(running, (end, slot, t.id))
+            started.add(t.id)
+        end, slot, tid = heapq.heappop(running)
+        clock = end
+        batch = [(slot, tid)]
+        while running and running[0][0] == clock:
+            _, s2, t2 = heapq.heappop(running)
+            batch.append((s2, t2))
+        for s, t in batch:
+            heapq.heappush(free, s)
+            done.add(t)
+            queue_pos[graph.by_id[t].queue_no] += 1
+    records.sort(key=lambda r: (r.vstart, r.id))
+    return records
+
+
 def noop_overlay(n_queues):
     """An overlay of do-nothing kernels, one per queue, for scheduler tests."""
     interfaces = []
@@ -104,4 +160,4 @@ def noop_overlay(n_queues):
             access_sets=lambda args, fb: (),
         )
         interfaces.append(command(ip, q))
-    return build_overlay(f"noop{n_queues}", interfaces)
+    return Overlay(f"noop{n_queues}", interfaces)

@@ -10,11 +10,12 @@ from overlaysim import errors
 from overlaysim.overlay import (
     IP_REGISTRY,
     IpDescriptor,
-    build_overlay,
+    Overlay,
     command,
     load_overlay,
 )
 from overlaysim.apps import lu_overlay, vgg_overlay
+from overlaysim.runtime import build_task_graph
 from overlaysim.tensors import new_buffer, bcropped
 
 
@@ -33,19 +34,19 @@ def test_command_signature_checked():
 
 def test_duplicate_queue_rejected():
     with pytest.raises(errors.ConfigurationError):
-        build_overlay("dup", [command(IP_REGISTRY["LU"], 1),
-                              command(IP_REGISTRY["GEMM"], 1)])
+        Overlay("dup", [command(IP_REGISTRY["LU"], 1),
+                        command(IP_REGISTRY["GEMM"], 1)])
 
 
 def test_gap_in_queue_numbering_rejected():
     with pytest.raises(errors.ConfigurationError):
-        build_overlay("gap", [command(IP_REGISTRY["LU"], 0),
-                              command(IP_REGISTRY["GEMM"], 2)])
+        Overlay("gap", [command(IP_REGISTRY["LU"], 0),
+                        command(IP_REGISTRY["GEMM"], 2)])
 
 
 def test_empty_interface_list_rejected():
     with pytest.raises(errors.ConfigurationError):
-        build_overlay("none", [])
+        Overlay("none", [])
 
 
 def test_negative_queue_rejected():
@@ -57,7 +58,6 @@ def test_lu_overlay_has_four_queues_and_no_feature_buffer():
     ov = lu_overlay()
     assert sorted(ov.interfaces) == [0, 1, 2, 3]
     assert ov.feature_buffer is None
-    assert all(len(q) == 0 for q in ov.queues.values())
 
 
 def test_vgg_overlay_has_two_queues_and_feature_buffer():
@@ -89,7 +89,6 @@ class TestManifests:
         first = load_overlay(path)
         second = load_overlay(path)
         assert first.manifest() == second.manifest()
-        assert all(len(q) == 0 for q in second.queues.values())
 
     def test_unknown_ip_name(self, tmp_path):
         path = tmp_path / "fft.overlay.json"
@@ -121,7 +120,7 @@ class TestEnqueue:
         buf = new_buffer([4, 4], fill=1.0)
         diag = bcropped(buf, 2, 0, 0, 0, 0)
         task = ov.enqueue(0, [diag], 0, kind="factor")
-        assert len(ov.queues[0]) == 1
+        assert task.queue_no == 0
         assert task.kind == "factor"
         assert task.iteration == 0
         assert task.access_sets  # computed at enqueue time
@@ -133,7 +132,7 @@ class TestEnqueue:
         col = bcropped(buf, 2, 1, 2, 0, 0)
         row = bcropped(buf, 2, 0, 0, 1, 2)
         task = ov.enqueue(3, [trailing, col, row, 1.0, -1.0, 1.0], 0, kind="update")
-        assert len(ov.queues[3]) == 1
+        assert task.queue_no == 3
         assert task.args[3:] == (1.0, -1.0, 1.0)
 
     def test_unknown_queue(self):
@@ -180,18 +179,21 @@ class TestEnqueue:
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=24))
     @settings(max_examples=40)
     def test_fifo_order_preserved(self, queue_sequence):
-        """Tasks drain from each queue in exactly the order they were enqueued."""
+        """The graph chains each queue's tasks in exactly the order they were
+        enqueued, which is the order the scheduler drains them in."""
         ov = lu_overlay()
         v = new_buffer([2, 2], fill=1.0).view()
         gemm_args = [bcropped(new_buffer([4, 4]), 2, 1, 1, 1, 1),
                      bcropped(new_buffer([4, 4]), 2, 1, 1, 0, 0),
                      bcropped(new_buffer([4, 4]), 2, 0, 0, 1, 1), 1.0, 1.0, 1.0]
         enqueued = {q: [] for q in range(4)}
+        tasks = []
         for i, q in enumerate(queue_sequence):
             args = gemm_args if q == 3 else [v]
-            enqueued[q].append(ov.enqueue(q, args, i).id)
-        for q in range(4):
-            assert [t.id for t in ov.queues[q]] == enqueued[q]
+            tasks.append(ov.enqueue(q, args, i))
+            enqueued[q].append(tasks[-1].id)
+        chained = sorted((a, b) for ids in enqueued.values() for a, b in zip(ids, ids[1:]))
+        assert build_task_graph(tasks, []).edge_pairs() == chained
 
 
 def test_feature_buffer_access_sets_ignore_dummies():

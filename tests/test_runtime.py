@@ -18,6 +18,7 @@ from overlaysim.apps import (
     vgg_generate_tasks,
     vgg_overlay,
 )
+from overlaysim.overlay import IpDescriptor, Overlay, command
 from overlaysim.runtime import (
     IterCondition,
     build_task_graph,
@@ -30,10 +31,16 @@ from overlaysim.runtime import (
     ExecutionTrace,
     TaskInstance,
     TraceRecord,
+    _virtual_schedule,
 )
 from overlaysim.tensors import MODES, AccessSet
 
-from helpers import element_level_races, noop_overlay, reference_conflicts
+from helpers import (
+    element_level_races,
+    noop_overlay,
+    reference_conflicts,
+    reference_virtual_schedule,
+)
 
 
 def lu_setup(n, m, seed=0, dtype=np.float64):
@@ -78,9 +85,7 @@ class TestBuildTaskGraph:
 
     def test_two_cycle_detected(self):
         ov = noop_overlay(2)
-        ov.enqueue(0, [], 0, kind="a")
-        ov.enqueue(1, [], 0, kind="b")
-        tasks = ov.queues[0] + ov.queues[1]
+        tasks = [ov.enqueue(0, [], 0, kind="a"), ov.enqueue(1, [], 0, kind="b")]
         rules = [depend("a", "b", 0), depend("b", "a", 0)]
         with pytest.raises(errors.CyclicDependenceError) as exc:
             build_task_graph(tasks, rules)
@@ -240,11 +245,9 @@ class TestCheckerMatchesReference:
         assert report == reference_conflicts(graph)
 
 
-@given(st.data())
-@settings(max_examples=150, deadline=None)
-def test_checker_matches_reference_on_random_graphs(data):
-    """Random tasks, access sets and rules, with gaps in the ids and rule edges
-    that run from a higher id to a lower one."""
+def draw_random_graph(data, max_access_sets=3):
+    """Random tasks, access sets and rules on up to 3 queues, with gaps in the
+    ids and rule edges that run from a higher id to a lower one."""
     n_kinds = data.draw(st.integers(2, 5))
     n_queues = data.draw(st.integers(2, 3))
     iters = data.draw(st.integers(1, 4))
@@ -273,7 +276,8 @@ def test_checker_matches_reference_on_random_graphs(data):
     ids = sorted(data.draw(st.sets(st.integers(0, 200), min_size=len(slots),
                                    max_size=len(slots))))
     tasks = [TaskInstance(tid, f"k{k}", kind_queue[k], i, (),
-                          tuple(draw_access_set() for _ in range(data.draw(st.integers(0, 3)))))
+                          tuple(draw_access_set()
+                                for _ in range(data.draw(st.integers(0, max_access_sets)))))
              for tid, (i, k) in zip(ids, slots)]
     rules = []
     for dep_k in range(n_kinds):
@@ -287,8 +291,29 @@ def test_checker_matches_reference_on_random_graphs(data):
                                          data.draw(st.integers(0, 3)))
                 rules.append(depend(f"k{dep_k}", f"k{pre_k}", data.draw(st.integers(1, 2)),
                                     cond))
-    graph = build_task_graph(tasks, rules)
+    return build_task_graph(tasks, rules)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_checker_matches_reference_on_random_graphs(data):
+    graph = draw_random_graph(data)
     assert check_dependence_sufficiency(graph) == reference_conflicts(graph)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_replay_matches_reference_on_random_graphs(data):
+    """The frontier replay returns the queue-scanning reference's records, order
+    included; the flops make end times tie.  A serial run follows topo_order."""
+    graph = draw_random_graph(data, max_access_sets=0)
+    flops = {tid: data.draw(st.sampled_from([0, 1_000_000, 2_000_000, 7_000_000]))
+             for tid in sorted(graph.by_id)}
+    for workers in (1, 2, 3, 8):
+        assert (_virtual_schedule(graph, flops, workers)
+                == reference_virtual_schedule(graph, flops, workers))
+    trace = run(noop_overlay(3), graph, worker_count=1)
+    assert [r.id for r in trace.records] == graph.topo_order
 
 
 class TestRun:
@@ -332,6 +357,35 @@ class TestRun:
             run(overlay, graph, worker_count=2)
         assert exc.value.task_id == tasks[0].id
         assert isinstance(exc.value.__cause__, errors.SingularPivotError)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_failure_starts_no_dependent_task(self, workers):
+        """A raising task in a FIFO chain: neither its queue follower nor its
+        rule successor on another queue ever runs."""
+        class Boom(Exception):
+            pass
+
+        ran = []
+
+        def tagged(args, fb):
+            ran.append(args[0])
+            if args[0] == 1:
+                raise Boom("task body failed")
+            return 1
+
+        ov = Overlay("tagged", [
+            command(IpDescriptor(f"Tagged{q}", ("scalar",), tagged, lambda args, fb: ()), q)
+            for q in range(2)])
+        chain = [ov.enqueue(0, [i], i, kind="step") for i in range(3)]
+        after = ov.enqueue(1, [3], 1, kind="after")
+        graph = build_task_graph(chain + [after], [depend("after", "step", 0)])
+        assert (1, after.id) in graph.edge_pairs()
+        with pytest.raises(errors.TaskExecutionError) as exc:
+            run(ov, graph, worker_count=workers)
+        assert (exc.value.task_id, exc.value.kind) == (1, "step")
+        assert str(exc.value) == "task 1 (step) failed"
+        assert isinstance(exc.value.__cause__, Boom)
+        assert sorted(ran) == [0, 1]
 
     def test_conflicting_graph_refused_without_unsafe(self):
         _, overlay, tasks, rules = lu_setup(3, 2)
