@@ -9,7 +9,7 @@ DDR again.  Batches are serialized by queue order, so the one slot suffices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -154,7 +154,6 @@ class VggOutputs:
     pool_out: TensorBuffer
     fc_hidden: tuple[TensorBuffer, TensorBuffer]
     y: TensorBuffer
-    tasks: list[TaskInstance] = field(default_factory=list)
 
 
 def vgg_generate_tasks(config: VggConfig, x: TensorBuffer, weights: VggWeights,
@@ -200,8 +199,7 @@ def vgg_generate_tasks(config: VggConfig, x: TensorBuffer, weights: VggWeights,
         for k in range(FC_LAYERS):
             args = [fc_in[k], fc_out[k], weights.fc[k].view(), False, False, True, True]
             tasks.append(overlay.enqueue(0, args, i, kind=f"fc[{k}]"))
-    outputs = VggOutputs(pool_out, (f0, f1), y, tasks)
-    return tasks, vgg_rules(), outputs
+    return tasks, vgg_rules(), VggOutputs(pool_out, (f0, f1), y)
 
 
 def vgg_forward(config: VggConfig, x: TensorBuffer, weights: VggWeights,

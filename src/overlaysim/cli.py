@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,29 +47,6 @@ VERIFY_TOLERANCE = {
 }
 
 
-@dataclass
-class RunConfig:
-    app: str
-    n: int = 4
-    m: int = 8
-    scale: str = "tiny"
-    batch: int = 1
-    seed: int = 0
-    workers: int = 1
-    precision: str = "f64"
-    input: str | None = None
-    dump: str | None = None
-    trace: str | None = None
-    overlay: str | None = None
-    verify: bool = False
-    check_races: bool = False
-    unsafe: bool = False
-
-    @property
-    def dtype(self):
-        return np.float32 if self.precision == "f32" else np.float64
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="overlay-sim",
@@ -90,7 +66,8 @@ def make_parser() -> argparse.ArgumentParser:
                        help="network preset (vgg)")
     p_run.add_argument("--batch", type=int, default=1, help="input feature maps (vgg)")
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--workers", type=int, default=1)
+    p_run.add_argument("--workers", type=int, default=1,
+                       help="virtual IP slots in the schedule model")
     p_run.add_argument("--precision", choices=("f32", "f64"), default="f64")
     p_run.add_argument("--input", help="tensor-text file for the input buffer")
     p_run.add_argument("--dump", help="write the result buffer as tensor-text")
@@ -116,53 +93,48 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _prepare_lu(cfg: RunConfig):
-    if cfg.input:
-        buf = read_tensor_text(cfg.input, dtype=cfg.dtype)
-        if len(buf.shape) != 2 or buf.shape[0] != buf.shape[1] or buf.shape[0] % cfg.m:
+def _prepare_lu(args, dtype):
+    if args.input:
+        buf = read_tensor_text(args.input, dtype=dtype)
+        if len(buf.shape) != 2 or buf.shape[0] != buf.shape[1] or buf.shape[0] % args.m:
             raise OverlayError(
-                f"--input matrix shaped {buf.shape} does not split into blocks of {cfg.m}"
+                f"--input matrix shaped {buf.shape} does not split into blocks of {args.m}"
             )
-        n = buf.shape[0] // cfg.m
+        n = buf.shape[0] // args.m
     else:
-        buf, n = dominant_matrix(cfg.n, cfg.m, cfg.seed, dtype=cfg.dtype), cfg.n
-    problem = LuProblem(buf, n, cfg.m)
-    overlay = load_overlay(cfg.overlay) if cfg.overlay else lu_overlay()
+        buf, n = dominant_matrix(args.n, args.m, args.seed, dtype=dtype), args.n
+    problem = LuProblem(buf, n, args.m)
+    overlay = load_overlay(args.overlay) if args.overlay else lu_overlay()
     tasks, rules = lu_generate_tasks(problem, overlay)
     return overlay, tasks, rules, buf, buf.data.copy()
 
 
-def _prepare_vgg(cfg: RunConfig):
-    config = tiny_config(cfg.batch) if cfg.scale == "tiny" else small_config(cfg.batch)
-    if cfg.input:
-        x = read_tensor_text(cfg.input, dtype=cfg.dtype)
+def _prepare_vgg(args, dtype):
+    config = tiny_config(args.batch) if args.scale == "tiny" else small_config(args.batch)
+    if args.input:
+        x = read_tensor_text(args.input, dtype=dtype)
     else:
-        x = random_input(config, cfg.seed, dtype=cfg.dtype)
-    weights = seeded_weights(config, cfg.seed + 1, dtype=cfg.dtype)
-    overlay = load_overlay(cfg.overlay) if cfg.overlay else vgg_overlay()
+        x = random_input(config, args.seed, dtype=dtype)
+    weights = seeded_weights(config, args.seed + 1, dtype=dtype)
+    overlay = load_overlay(args.overlay) if args.overlay else vgg_overlay()
     tasks, rules, outputs = vgg_generate_tasks(config, x, weights, overlay)
     return overlay, tasks, rules, outputs.y, (config, x, weights)
 
 
 def cmd_run(args) -> int:
-    cfg = RunConfig(
-        app=args.app, n=args.n, m=args.m, scale=args.scale, batch=args.batch,
-        seed=args.seed, workers=args.workers, precision=args.precision,
-        input=args.input, dump=args.dump, trace=args.trace, overlay=args.overlay,
-        verify=args.verify, check_races=args.check_races, unsafe=args.unsafe,
-    )
-    if cfg.workers < 1 or cfg.n < 1 or cfg.m < 1 or cfg.batch < 1:
+    if args.workers < 1 or args.n < 1 or args.m < 1 or args.batch < 1:
         print("workers, n, m and batch must all be >= 1", file=sys.stderr)
         return EXIT_USAGE
 
-    if cfg.app == "lu":
-        overlay, tasks, rules, result_buf, original = _prepare_lu(cfg)
+    dtype = np.float32 if args.precision == "f32" else np.float64
+    if args.app == "lu":
+        overlay, tasks, rules, result_buf, original = _prepare_lu(args, dtype)
     else:
-        overlay, tasks, rules, result_buf, oracle_args = _prepare_vgg(cfg)
+        overlay, tasks, rules, result_buf, oracle_args = _prepare_vgg(args, dtype)
 
     graph = build_task_graph(tasks, rules)
 
-    if cfg.check_races:
+    if args.check_races:
         conflicts = check_dependence_sufficiency(graph)
         if conflicts:
             print(f"conflict report: {len(conflicts)} unordered conflicting pair(s)")
@@ -172,22 +144,22 @@ def cmd_run(args) -> int:
         print("conflict report: empty")
 
     # an empty report above already cleared the graph, so run() need not check again
-    trace = run(overlay, graph, cfg.workers, unsafe=cfg.unsafe or cfg.check_races)
-    if cfg.trace:
-        emit_trace(trace, cfg.trace)
-        print(f"trace: {len(trace.records)} records -> {cfg.trace}")
-    if cfg.dump:
-        write_tensor_text(result_buf, cfg.dump)
-        print(f"dump: {result_buf.shape} -> {cfg.dump}")
+    trace = run(overlay, graph, args.workers, unsafe=args.unsafe or args.check_races)
+    if args.trace:
+        emit_trace(trace, args.trace)
+        print(f"trace: {len(trace.records)} records -> {args.trace}")
+    if args.dump:
+        write_tensor_text(result_buf, args.dump)
+        print(f"dump: {result_buf.shape} -> {args.dump}")
 
-    if cfg.verify:
-        tol = VERIFY_TOLERANCE[(cfg.app, cfg.precision)]
-        if cfg.app == "lu":
+    if args.verify:
+        tol = VERIFY_TOLERANCE[(args.app, args.precision)]
+        if args.app == "lu":
             expected = oracle_lu(original)
         else:
             expected = oracle_cnn_forward(*oracle_args)
         report = compare(expected, result_buf.data, tol)
-        print(f"verify {cfg.app}: {report}")
+        print(f"verify {args.app}: {report}")
         if not report.passed:
             return EXIT_FAIL
     return EXIT_OK

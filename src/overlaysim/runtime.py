@@ -5,18 +5,19 @@ distance-d dependence rules between task kinds, and the FIFO order of each
 command queue.  One rule decides when a task may start: all its graph
 predecessors have completed.  Queue order needs nothing more, since the FIFO
 edges make such a task the oldest unfinished one of its queue.  A single Kahn
-frontier applies the rule for the topological order, for the thread-pool
-executor and for the virtual replay.  Traces report deterministic virtual
-times computed from per-task work estimates, not wall-clock times; the replay
-starts the lowest ready id on the lowest free worker slot, and tasks whose
-virtual end times are equal complete together.
+frontier applies the rule for the topological order and for the one
+scheduling loop in run(), a list-scheduling replay in virtual time that runs
+each task body, on the calling thread, when it starts the task on one of
+worker_count virtual IP slots.  Traces report the virtual times, computed
+from the kernels' work estimates, not wall-clock times; the loop starts the
+lowest ready id on the lowest free slot, and tasks whose virtual end times
+are equal complete together.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -292,59 +293,44 @@ class ExecutionTrace:
     edges: list[tuple[int, int]] = field(default_factory=list)
 
 
-def _execute(overlay, graph: TaskGraph, worker_count: int) -> dict[int, int]:
-    """Run every task body once, respecting the graph's edges.
+def run(overlay, graph: TaskGraph, worker_count: int = 1,
+        unsafe: bool = False) -> ExecutionTrace:
+    """Execute the graph on the overlay's kernels and return its trace.
 
-    Ready tasks are submitted in id order as their predecessors complete.
-    Returns the per-task flop estimates reported by the kernels.  A failing
-    task aborts scheduling: unstarted tasks are cancelled and the failure is
-    re-raised with the task id attached.
+    worker_count is the number of virtual IP slots in the schedule model.
+    While a slot is free, the lowest ready id starts on the lowest free slot:
+    its body runs there and then, on the calling thread, and the flop count
+    it returns sets its virtual end.  Then the clock jumps to the earliest
+    end, and every task ending at that time completes.  A failing body stops
+    scheduling and is re-raised with the task id attached.
+
+    Unless unsafe is set, refuses to run a graph whose conflict report is
+    non-empty, since unordered conflicting tasks would make results depend
+    on the schedule.
     """
-    frontier = _Frontier(graph)
-    in_flight: dict = {}
-    flops: dict[int, int] = {}
-    with ThreadPoolExecutor(max_workers=worker_count) as pool:
-        try:
-            while frontier or in_flight:
-                while frontier:
-                    t = graph.by_id[frontier.pop()]
-                    iface = overlay.interface(t.queue_no)
-                    in_flight[pool.submit(iface.ip.run, t.args, overlay.feature_buffer)] = t
-                finished, _ = wait(list(in_flight), return_when=FIRST_COMPLETED)
-                for fut in finished:
-                    task = in_flight.pop(fut)
-                    try:
-                        flops[task.id] = int(fut.result())
-                    except Exception as exc:
-                        raise TaskExecutionError(task.id, task.kind) from exc
-                    frontier.complete(task.id)
-        except Exception:
-            for fut in in_flight:
-                fut.cancel()
-            raise
-    if len(flops) != len(graph.tasks):
-        raise OverlayError("scheduler stalled with tasks remaining (graph inconsistent)")
-    return flops
-
-
-def _virtual_schedule(graph: TaskGraph, flops: dict[int, int],
-                      worker_count: int) -> list[TraceRecord]:
-    """Deterministic list-scheduling replay producing virtual start/end times.
-
-    While a worker slot is free, the lowest ready id starts on the lowest
-    free slot; then the clock jumps to the earliest end, and every task
-    ending at that time completes.
-    """
+    if worker_count < 1:
+        raise InvocationError(f"worker_count must be >= 1, got {worker_count}")
+    if not unsafe:
+        conflicts = check_dependence_sufficiency(graph)
+        if conflicts:
+            raise DependenceConflictError(conflicts)
     frontier = _Frontier(graph)
     free = list(range(worker_count))  # ascending, hence already a heap
     running: list[tuple[int, int, int]] = []  # (end, slot, task id)
+    # starts happen in (vstart, id) order: nothing becomes ready while the
+    # slots fill, and every duration is at least 1
     records: list[TraceRecord] = []
     clock = 0
     while frontier or running:
         while frontier and free:
             t = graph.by_id[frontier.pop()]
+            body = overlay.interface(t.queue_no).ip.run
+            try:
+                flops = int(body(t.args, overlay.feature_buffer))
+            except Exception as exc:
+                raise TaskExecutionError(t.id, t.kind) from exc
             slot = heapq.heappop(free)
-            end = clock + max(1, flops.get(t.id, 0) // VIRTUAL_TIME_DIVISOR)
+            end = clock + max(1, flops // VIRTUAL_TIME_DIVISOR)
             records.append(TraceRecord(t.id, t.kind, t.iteration, t.queue_no,
                                        clock, end, slot))
             heapq.heappush(running, (end, slot, t.id))
@@ -353,26 +339,8 @@ def _virtual_schedule(graph: TaskGraph, flops: dict[int, int],
             _, slot, tid = heapq.heappop(running)
             heapq.heappush(free, slot)
             frontier.complete(tid)
-    records.sort(key=lambda r: (r.vstart, r.id))
-    return records
-
-
-def run(overlay, graph: TaskGraph, worker_count: int = 1,
-        unsafe: bool = False) -> ExecutionTrace:
-    """Execute the graph on the overlay's kernels and return its trace.
-
-    Unless unsafe is set, refuses to run a graph whose conflict report is
-    non-empty, since unordered conflicting tasks would make results depend
-    on scheduling accidents.
-    """
-    if worker_count < 1:
-        raise InvocationError(f"worker_count must be >= 1, got {worker_count}")
-    if not unsafe:
-        conflicts = check_dependence_sufficiency(graph)
-        if conflicts:
-            raise DependenceConflictError(conflicts)
-    flops = _execute(overlay, graph, worker_count)
-    records = _virtual_schedule(graph, flops, worker_count)
+    if len(records) != len(graph.tasks):
+        raise OverlayError("scheduler stalled with tasks remaining (graph inconsistent)")
     return ExecutionTrace(records=records, edges=graph.edge_pairs())
 
 

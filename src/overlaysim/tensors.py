@@ -66,7 +66,7 @@ class TensorBuffer:
 
     def view(self) -> "BlockView":
         """Whole-buffer view."""
-        return BlockView(self, tuple((0, e) for e in self.shape), origin="whole")
+        return BlockView(self, tuple((0, e) for e in self.shape))
 
     def __repr__(self):
         return f"TensorBuffer(id={self.id}, shape={self.shape}, dtype={self.dtype})"
@@ -96,7 +96,6 @@ class BlockView:
 
     buffer: TensorBuffer
     elem_ranges: tuple[tuple[int, int], ...]
-    origin: str = "crop"
 
     def __post_init__(self):
         shape = self.buffer.shape
@@ -146,8 +145,7 @@ def bcropped(buf: TensorBuffer, m: int, start_row: int, end_row: int,
                 f"{name} blocks [{start}, {end}] out of range for {count} blocks"
             )
     ranges = ((start_row * m, (end_row + 1) * m), (start_col * m, (end_col + 1) * m))
-    origin = f"bcropped(m={m}, rows {start_row}..{end_row}, cols {start_col}..{end_col})"
-    return BlockView(buf, ranges, origin=origin)
+    return BlockView(buf, ranges)
 
 
 def cropped(buf: TensorBuffer, axis: int, start: int, extent: int) -> BlockView:
@@ -163,7 +161,7 @@ def cropped(buf: TensorBuffer, axis: int, start: int, extent: int) -> BlockView:
         (start, start + extent) if a == axis else (0, e)
         for a, e in enumerate(buf.shape)
     )
-    return BlockView(buf, ranges, origin=f"cropped(axis={axis}, start={start}, extent={extent})")
+    return BlockView(buf, ranges)
 
 
 def ranges_overlap(a, b) -> bool:

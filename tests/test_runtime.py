@@ -1,5 +1,7 @@
 """Graph construction, conflict checking, scheduling, and trace handling."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,6 @@ from overlaysim.runtime import (
     ExecutionTrace,
     TaskInstance,
     TraceRecord,
-    _virtual_schedule,
 )
 from overlaysim.tensors import MODES, AccessSet
 
@@ -39,6 +40,7 @@ from helpers import (
     element_level_races,
     noop_overlay,
     reference_conflicts,
+    reference_threaded_execute,
     reference_virtual_schedule,
 )
 
@@ -247,7 +249,8 @@ class TestCheckerMatchesReference:
 
 def draw_random_graph(data, max_access_sets=3):
     """Random tasks, access sets and rules on up to 3 queues, with gaps in the
-    ids and rule edges that run from a higher id to a lower one."""
+    ids and rule edges that run from a higher id to a lower one.  Each task's
+    args are its own id."""
     n_kinds = data.draw(st.integers(2, 5))
     n_queues = data.draw(st.integers(2, 3))
     iters = data.draw(st.integers(1, 4))
@@ -275,7 +278,7 @@ def draw_random_graph(data, max_access_sets=3):
     slots = [(i, k) for i in range(iters) for k in range(n_kinds) if data.draw(present)]
     ids = sorted(data.draw(st.sets(st.integers(0, 200), min_size=len(slots),
                                    max_size=len(slots))))
-    tasks = [TaskInstance(tid, f"k{k}", kind_queue[k], i, (),
+    tasks = [TaskInstance(tid, f"k{k}", kind_queue[k], i, (tid,),
                           tuple(draw_access_set()
                                 for _ in range(data.draw(st.integers(0, max_access_sets)))))
              for tid, (i, k) in zip(ids, slots)]
@@ -301,19 +304,58 @@ def test_checker_matches_reference_on_random_graphs(data):
     assert check_dependence_sufficiency(graph) == reference_conflicts(graph)
 
 
+def flops_overlay(flops):
+    """Three queues whose kernels return the flops given for the task id in args[0]."""
+    return Overlay("flops", [
+        command(IpDescriptor(f"Flops{q}", ("scalar",), lambda args, fb: flops[args[0]],
+                             lambda args, fb: ()), q)
+        for q in range(3)])
+
+
+def draw_tied_flops(data, graph):
+    """Flops per task from a small set, so that virtual end times tie."""
+    return {tid: data.draw(st.sampled_from([0, 1_000_000, 2_000_000, 7_000_000]))
+            for tid in sorted(graph.by_id)}
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_replay_matches_reference_on_random_graphs(data):
-    """The frontier replay returns the queue-scanning reference's records, order
-    included; the flops make end times tie.  A serial run follows topo_order."""
+    """run() returns the queue-scanning reference's records, order included,
+    for kernels that return the drawn flops.  A serial run follows topo_order."""
     graph = draw_random_graph(data, max_access_sets=0)
-    flops = {tid: data.draw(st.sampled_from([0, 1_000_000, 2_000_000, 7_000_000]))
-             for tid in sorted(graph.by_id)}
+    flops = draw_tied_flops(data, graph)
+    overlay = flops_overlay(flops)
     for workers in (1, 2, 3, 8):
-        assert (_virtual_schedule(graph, flops, workers)
+        assert (run(overlay, graph, worker_count=workers).records
                 == reference_virtual_schedule(graph, flops, workers))
     trace = run(noop_overlay(3), graph, worker_count=1)
     assert [r.id for r in trace.records] == graph.topo_order
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_run_matches_threaded_reference_on_random_graphs(data):
+    """The one scheduling loop gives the records of the thread-pool executor
+    followed by the queue-scanning replay of the flops it collected."""
+    graph = draw_random_graph(data, max_access_sets=0)
+    overlay = flops_overlay(draw_tied_flops(data, graph))
+    for workers in (1, 2, 3, 8):
+        flops = reference_threaded_execute(overlay, graph, workers)
+        assert (run(overlay, graph, worker_count=workers).records
+                == reference_virtual_schedule(graph, flops, workers))
+
+
+def recording_overlay(overlay, calls):
+    """The overlay's kernels, each call first appending (args, thread ident) to calls."""
+    def recorded(ip):
+        def body(args, fb):
+            calls.append((args, threading.get_ident()))
+            return ip.run(args, fb)
+        return IpDescriptor(ip.name, ip.signature, body, ip.access_sets,
+                            ip.uses_feature_buffer)
+    return Overlay(overlay.name, [command(recorded(iface.ip), q)
+                                  for q, iface in sorted(overlay.interfaces.items())])
 
 
 class TestRun:
@@ -386,6 +428,31 @@ class TestRun:
         assert str(exc.value) == "task 1 (step) failed"
         assert isinstance(exc.value.__cause__, Boom)
         assert sorted(ran) == [0, 1]
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_bodies_run_on_calling_thread_in_trace_order(self, workers):
+        calls = []
+        problem = LuProblem(dominant_matrix(4, 2, 0), 4, 2)
+        overlay = recording_overlay(lu_overlay(), calls)
+        tasks, rules = lu_generate_tasks(problem, overlay)
+        trace = run(overlay, build_task_graph(tasks, rules), worker_count=workers)
+        task_of = {id(t.args): t.id for t in tasks}
+        assert [task_of[id(args)] for args, _ in calls] == [r.id for r in trace.records]
+        assert {ident for _, ident in calls} == {threading.get_ident()}
+
+    def test_unsafe_run_is_deterministic(self):
+        """Without the factor<-update rule the LU tasks race on the diagonal
+        blocks; an unsafe run still gives the same bits every time."""
+        results = []
+        for _ in range(2):
+            problem, overlay, tasks, rules = lu_setup(4, 2, seed=3)
+            weakened = [r for r in rules if not (r.dependent_kind == "factor"
+                                                 and r.prerequisite_kind == "update")]
+            graph = build_task_graph(tasks, weakened)
+            assert check_dependence_sufficiency(graph)
+            run(overlay, graph, worker_count=2, unsafe=True)
+            results.append(problem.a.data.tobytes())
+        assert results[0] == results[1]
 
     def test_conflicting_graph_refused_without_unsafe(self):
         _, overlay, tasks, rules = lu_setup(3, 2)
