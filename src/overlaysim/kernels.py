@@ -1,9 +1,15 @@
 """Software bodies of the six overlay kernels, plus the on-chip feature buffer model.
 
 The four dense linear-algebra kernels update their operands in place: results
-land in the same storage the input views expose.  The CNN kernels route their
-input/output through either DDR views or the single-slot feature buffer,
-selected by control flags.
+land in the same storage the input views expose.  The LU factor and the two
+panel solves are recursive blocked algorithms: above BLOCK rows or columns
+they split in half, so that almost all of their flops run as numpy matmuls,
+and at BLOCK or below they run the row (or column) loops they replace.  A
+block of order BLOCK or less therefore gives bit-identical results to those
+loops.  Both panel solves go through one lower triangular solver, with a unit
+or a stored diagonal; the column panel solves U^T X^T = T^T on transposed
+views.  The CNN kernels route their input/output through either DDR views or
+the single-slot feature buffer, selected by control flags.
 """
 
 from __future__ import annotations
@@ -30,6 +36,11 @@ PIVOT_EPSILON = {
 
 def pivot_epsilon(dtype) -> float:
     return PIVOT_EPSILON[np.dtype(dtype)]
+
+
+# order at or below which the triangular solves and the LU factor run their
+# row/column loops instead of splitting in half
+BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -91,24 +102,69 @@ def _matrix(view: BlockView, what: str) -> np.ndarray:
     return arr
 
 
+def _lower_solve(lower: np.ndarray, x: np.ndarray, eps: float | None = None,
+                 offset: int = 0) -> None:
+    """x <- L^-1 x in place, for L the lower triangle of `lower`.
+
+    With eps None, L has an implicit unit diagonal and only the strict lower
+    triangle is read.  Otherwise the diagonal is read and divided out, and a
+    diagonal entry below eps raises SingularPivotError(offset + r) before row r
+    of x is written.  Above BLOCK rows the solve splits in half and the
+    off-diagonal block becomes one matmul.
+    """
+    n = lower.shape[0]
+    if n <= BLOCK:
+        # a dense copy in x's own memory order: the row loop then streams,
+        # and runs the same BLAS calls as it would on x itself
+        slab = x.copy(order="K")
+        for r in range(n):
+            if eps is not None:
+                diag = lower[r, r]
+                if abs(diag) < eps:
+                    raise SingularPivotError(offset + r, float(diag))
+            if r:
+                slab[r, :] -= lower[r, :r] @ slab[:r, :]
+            if eps is not None:
+                slab[r, :] /= diag
+        x[...] = slab
+        return
+    h = n // 2
+    _lower_solve(lower[:h, :h], x[:h], eps, offset)
+    # the product in x's memory order, so the subtraction streams
+    x[h:] -= np.matmul(lower[h:, :h], x[:h], out=np.empty_like(x[h:]))
+    _lower_solve(lower[h:, h:], x[h:], eps, offset + h)
+
+
+def _lu_factor(a: np.ndarray, eps: float, offset: int) -> None:
+    """Unpivoted LU of a in place; pivot indices are reported plus offset."""
+    m = a.shape[0]
+    if m <= BLOCK:
+        for k in range(m):
+            pivot = a[k, k]
+            if abs(pivot) < eps:
+                raise SingularPivotError(offset + k, float(pivot))
+            a[k + 1:, k] /= pivot
+            a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
+        return
+    h = m // 2
+    _lu_factor(a[:h, :h], eps, offset)
+    _lower_solve(a[:h, :h], a[:h, h:])
+    _lower_solve(a[:h, :h].T, a[h:, :h].T, eps, offset)  # X U = T  <=>  U^T X^T = T^T
+    a[h:, h:] -= a[h:, :h] @ a[:h, h:]
+    _lu_factor(a[h:, h:], eps, offset + h)
+
+
 def lu_factor_block(block: BlockView) -> None:
     """Factor a square block into L and U stored in place.
 
     The strict lower triangle holds L's sub-diagonal entries (its unit
     diagonal is implicit); the upper triangle including the diagonal holds U.
-    No pivoting: a near-zero pivot raises instead.
+    No pivoting: a near-zero pivot raises instead, with its index in the block.
     """
     a = _matrix(block, "lu_factor_block")
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"lu_factor_block: block must be square, got {a.shape}")
-    m = a.shape[0]
-    eps = pivot_epsilon(a.dtype)
-    for k in range(m):
-        pivot = a[k, k]
-        if abs(pivot) < eps:
-            raise SingularPivotError(k, float(pivot))
-        a[k + 1:, k] /= pivot
-        a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
+    _lu_factor(a, pivot_epsilon(a.dtype), 0)
 
 
 def transform_row_panel(panel: BlockView) -> None:
@@ -123,11 +179,7 @@ def transform_row_panel(panel: BlockView) -> None:
         raise ShapeError(
             f"transform_row_panel: panel must be m x (k*m) with k >= 2, got {a.shape}"
         )
-    lower = a[:, :m]
-    trailing = a[:, m:]
-    # forward substitution with unit diagonal, all trailing columns at once
-    for r in range(1, m):
-        trailing[r, :] -= lower[r, :r] @ trailing[:r, :]
+    _lower_solve(a[:, :m], a[:, m:])
 
 
 def transform_column_panel(panel: BlockView) -> None:
@@ -142,16 +194,8 @@ def transform_column_panel(panel: BlockView) -> None:
         raise ShapeError(
             f"transform_column_panel: panel must be (k*m) x m with k >= 2, got {a.shape}"
         )
-    upper = a[:m, :]
-    trailing = a[m:, :]
-    eps = pivot_epsilon(a.dtype)
-    for c in range(m):
-        diag = upper[c, c]
-        if abs(diag) < eps:
-            raise SingularPivotError(c, float(diag))
-        if c:
-            trailing[:, c] -= trailing[:, :c] @ upper[:c, c]
-        trailing[:, c] /= diag
+    # X U = T  <=>  U^T X^T = T^T, solved on transposed views
+    _lower_solve(a[:m, :].T, a[m:, :].T, pivot_epsilon(a.dtype))
 
 
 def gemm(c: BlockView, a: BlockView, b: BlockView, co: GemmCoefficients) -> None:

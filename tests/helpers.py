@@ -2,16 +2,19 @@
 
 These reimplement checks at element granularity, independently of the
 library's interval-based machinery, so the two can be compared.  The
-quadratic conflict checker, the queue-scanning virtual replay and the
-thread-pool executor the library once used are kept here as the references
-for their replacements.
+quadratic conflict checker, the queue-scanning virtual replay, the
+thread-pool executor and the row/column loops of the LU kernels the library
+once used are kept here as the references for their replacements.
 """
 
 import heapq
 import itertools
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
-from overlaysim.errors import OverlayError, TaskExecutionError
+import numpy as np
+
+from overlaysim.errors import OverlayError, SingularPivotError, TaskExecutionError
+from overlaysim.kernels import pivot_epsilon
 from overlaysim.overlay import IpDescriptor, Overlay, command
 from overlaysim.runtime import VIRTUAL_TIME_DIVISOR, Conflict, TraceRecord, _Frontier
 
@@ -189,6 +192,43 @@ def reference_threaded_execute(overlay, graph, worker_count):
     if len(flops) != len(graph.tasks):
         raise OverlayError("scheduler stalled with tasks remaining (graph inconsistent)")
     return flops
+
+
+def reference_lu_factor_block(a):
+    """The rank-1 loop kernels.lu_factor_block once ran, in place on an array."""
+    m = a.shape[0]
+    eps = pivot_epsilon(a.dtype)
+    for k in range(m):
+        pivot = a[k, k]
+        if abs(pivot) < eps:
+            raise SingularPivotError(k, float(pivot))
+        a[k + 1:, k] /= pivot
+        a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
+
+
+def reference_transform_row_panel(a):
+    """The row loop kernels.transform_row_panel once ran, in place on an m x (k*m) array."""
+    m = a.shape[0]
+    lower = a[:, :m]
+    trailing = a[:, m:]
+    # forward substitution with unit diagonal, all trailing columns at once
+    for r in range(1, m):
+        trailing[r, :] -= lower[r, :r] @ trailing[:r, :]
+
+
+def reference_transform_column_panel(a):
+    """The column loop kernels.transform_column_panel once ran, in place on a (k*m) x m array."""
+    m = a.shape[1]
+    upper = a[:m, :]
+    trailing = a[m:, :]
+    eps = pivot_epsilon(a.dtype)
+    for c in range(m):
+        diag = upper[c, c]
+        if abs(diag) < eps:
+            raise SingularPivotError(c, float(diag))
+        if c:
+            trailing[:, c] -= trailing[:, :c] @ upper[:c, c]
+        trailing[:, c] /= diag
 
 
 def noop_overlay(n_queues):

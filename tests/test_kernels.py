@@ -5,6 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import (
+    reference_lu_factor_block,
+    reference_transform_column_panel,
+    reference_transform_row_panel,
+)
 from overlaysim import errors
 from overlaysim.kernels import (
     ConvControlFlags,
@@ -55,7 +60,7 @@ class TestLuFactorBlock:
         with pytest.raises(errors.ShapeError):
             lu_factor_block(view_of(np.ones((2, 3))))
 
-    @pytest.mark.parametrize("m", [2, 3, 5, 8, 16, 64])
+    @pytest.mark.parametrize("m", [2, 3, 5, 8, 16, 33, 64, 100, 256])
     def test_reconstruction(self, m):
         a = dominant(m, seed=m)
         view = view_of(a)
@@ -144,6 +149,129 @@ class TestTransformColumnPanel:
         with pytest.raises(errors.SingularPivotError) as exc:
             transform_column_panel(view)
         assert exc.value.index == 1
+
+
+def embedded(arr, seed):
+    """A view of arr inside a larger buffer, so kernels see strided rows."""
+    rows, cols = arr.shape
+    buf = TensorBuffer(np.random.default_rng(seed).uniform(-1, 1, (rows + 3, cols + 5)))
+    buf.data[1:rows + 1, 2:cols + 2] = arr
+    return BlockView(buf, ((1, rows + 1), (2, cols + 2)))
+
+
+def factored(m, seed):
+    packed = dominant(m, seed)
+    reference_lu_factor_block(packed)
+    return packed
+
+
+def relative_error(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+# the order up to which the blocked kernels promise the loops' exact bits
+LOOP_ORDER = 32
+# block orders around the loop/recursion boundary and its multiples
+BLOCK_ORDERS = st.one_of(st.sampled_from([31, 32, 33, 64, 65, 97]), st.integers(1, 100))
+
+
+class TestBlockedAgainstLoops:
+    """The recursive kernels against the row/column loops they replace.
+
+    Up to LOOP_ORDER they run the same arithmetic, so the results are equal
+    bit for bit; above it the sums are regrouped into matmuls.
+    """
+
+    def check(self, kernel, reference, arr, seed):
+        view = embedded(arr, seed)
+        kernel(view)
+        want = arr.copy()
+        reference(want)
+        got = view.array()
+        if min(arr.shape) <= LOOP_ORDER:
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert relative_error(got, want) <= 1e-12
+
+    @given(BLOCK_ORDERS, st.integers(0, 2 ** 31))
+    @settings(max_examples=40, deadline=None)
+    def test_lu_factor_block(self, m, seed):
+        self.check(lu_factor_block, reference_lu_factor_block, dominant(m, seed), seed)
+
+    @given(BLOCK_ORDERS, st.sampled_from([2, 3]), st.integers(0, 2 ** 31))
+    @settings(max_examples=40, deadline=None)
+    def test_row_panel(self, m, k, seed):
+        rest = np.random.default_rng(seed).uniform(-1, 1, (m, (k - 1) * m))
+        panel = np.hstack([factored(m, seed), rest])
+        self.check(transform_row_panel, reference_transform_row_panel, panel, seed)
+
+    @given(BLOCK_ORDERS, st.sampled_from([2, 3]), st.integers(0, 2 ** 31))
+    @settings(max_examples=40, deadline=None)
+    def test_column_panel(self, m, k, seed):
+        rest = np.random.default_rng(seed).uniform(-1, 1, ((k - 1) * m, m))
+        panel = np.vstack([factored(m, seed), rest])
+        self.check(transform_column_panel, reference_transform_column_panel, panel, seed)
+
+
+class TestHeadBlockAboveBlock:
+    """Above LOOP_ORDER, the recursion reads only the head block's documented triangle
+    and reports pivot indices relative to the whole block."""
+
+    M = 70
+
+    def check_unread_triangle(self, kernel, reference, panel, head, trailing, unread):
+        clean = panel.copy()
+        reference(clean)
+        poisoned = panel.copy()
+        poisoned[head][unread] = np.nan
+        view = embedded(poisoned, seed=1)
+        kernel(view)
+        out = view.array()
+        assert out[head].tobytes() == poisoned[head].tobytes()
+        assert np.all(np.isfinite(out[trailing]))
+        assert relative_error(out[trailing], clean[trailing]) <= 1e-12
+
+    def test_row_panel_ignores_upper_triangle(self):
+        m = self.M
+        rest = np.random.default_rng(2).uniform(-1, 1, (m, 2 * m))
+        self.check_unread_triangle(
+            transform_row_panel, reference_transform_row_panel,
+            np.hstack([factored(m, 3), rest]),
+            np.s_[:, :m], np.s_[:, m:], np.triu(np.ones((m, m), dtype=bool)))
+
+    def test_column_panel_ignores_strict_lower_triangle(self):
+        m = self.M
+        rest = np.random.default_rng(4).uniform(-1, 1, (2 * m, m))
+        self.check_unread_triangle(
+            transform_column_panel, reference_transform_column_panel,
+            np.vstack([factored(m, 5), rest]),
+            np.s_[:m, :], np.s_[m:, :], np.tril(np.ones((m, m), dtype=bool), -1))
+
+    def assert_pivot(self, kernel, arr, index):
+        with pytest.raises(errors.SingularPivotError) as exc:
+            kernel(embedded(arr, seed=6))
+        assert exc.value.index == index
+        assert abs(exc.value.value) < 1e-12
+
+    @pytest.mark.parametrize("m, index", [(64, 40), (130, 100)])
+    def test_lu_zero_pivot_index_on_diagonal(self, m, index):
+        a = np.eye(m)
+        a[index, index] = 0.0
+        self.assert_pivot(lu_factor_block, a, index)
+
+    def test_lu_zero_pivot_index_of_product(self):
+        rng = np.random.default_rng(7)
+        lower = np.tril(rng.uniform(-0.1, 0.1, (64, 64)), -1) + np.eye(64)
+        upper = np.triu(rng.uniform(-1, 1, (64, 64))) + 4 * np.eye(64)
+        upper[40, 40] = 0.0
+        self.assert_pivot(lu_factor_block, lower @ upper, 40)
+
+    def test_column_panel_zero_diagonal_index(self):
+        m = self.M
+        head = factored(m, 8)
+        head[45, 45] = 0.0
+        rest = np.random.default_rng(9).uniform(-1, 1, (2 * m, m))
+        self.assert_pivot(transform_column_panel, np.vstack([head, rest]), 45)
 
 
 class TestGemm:
