@@ -71,7 +71,7 @@ class DependenceConflictError(OverlayError):
 
 
 class TaskExecutionError(OverlayError):
-    """A task body failed; scheduling was aborted and unstarted tasks cancelled."""
+    """A task body failed; scheduling stopped and no further task was started."""
 
     def __init__(self, task_id: int, kind: str):
         self.task_id = task_id

@@ -10,6 +10,9 @@ loops.  Both panel solves go through one lower triangular solver, with a unit
 or a stored diagonal; the column panel solves U^T X^T = T^T on transposed
 views.  The CNN kernels route their input/output through either DDR views or
 the single-slot feature buffer, selected by control flags.
+
+Every kernel returns its flop estimate, computed from the operand shapes it
+has checked; the runtime turns that count into the task's virtual duration.
 """
 
 from __future__ import annotations
@@ -77,7 +80,6 @@ class FeatureBuffer:
     """
 
     slot: TensorBuffer | None = None
-    valid: bool = False
     resource_id: int = field(default_factory=next_resource_id)
     shape_log: list = field(default_factory=list)
 
@@ -86,13 +88,18 @@ class FeatureBuffer:
             self.slot.data[...] = arr
         else:
             self.slot = TensorBuffer(arr)
-        self.valid = True
         self.shape_log.append(tuple(arr.shape))
 
-    def read(self) -> np.ndarray:
-        if not self.valid or self.slot is None:
-            raise EmptyFeatureBufferError("feature buffer read before any store")
-        return self.slot.data
+    @property
+    def valid(self) -> bool:
+        return self.slot is not None
+
+
+def _stored_map(fb: FeatureBuffer | None, what: str) -> np.ndarray:
+    """The feature buffer's current map; raises when nothing has been stored."""
+    if fb is None or fb.slot is None:
+        raise EmptyFeatureBufferError(f"{what} reads the feature buffer, which is empty")
+    return fb.slot.data
 
 
 def _matrix(view: BlockView, what: str) -> np.ndarray:
@@ -154,8 +161,8 @@ def _lu_factor(a: np.ndarray, eps: float, offset: int) -> None:
     _lu_factor(a[h:, h:], eps, offset + h)
 
 
-def lu_factor_block(block: BlockView) -> None:
-    """Factor a square block into L and U stored in place.
+def lu_factor_block(block: BlockView) -> int:
+    """Factor a square block into L and U stored in place; returns 2m^3/3 flops.
 
     The strict lower triangle holds L's sub-diagonal entries (its unit
     diagonal is implicit); the upper triangle including the diagonal holds U.
@@ -165,13 +172,15 @@ def lu_factor_block(block: BlockView) -> None:
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"lu_factor_block: block must be square, got {a.shape}")
     _lu_factor(a, pivot_epsilon(a.dtype), 0)
+    return (2 * a.shape[0] ** 3) // 3
 
 
-def transform_row_panel(panel: BlockView) -> None:
+def transform_row_panel(panel: BlockView) -> int:
     """Apply L_ii^-1 to the trailing blocks of an m x (k*m) row panel, in place.
 
     The first m x m block must hold a prior lu_factor_block result; only its
-    strict lower triangle (plus the implicit unit diagonal) is read.
+    strict lower triangle (plus the implicit unit diagonal) is read.  Returns
+    m^2 (width - m) flops.
     """
     a = _matrix(panel, "transform_row_panel")
     m, width = a.shape
@@ -180,13 +189,15 @@ def transform_row_panel(panel: BlockView) -> None:
             f"transform_row_panel: panel must be m x (k*m) with k >= 2, got {a.shape}"
         )
     _lower_solve(a[:, :m], a[:, m:])
+    return m * m * (width - m)
 
 
-def transform_column_panel(panel: BlockView) -> None:
+def transform_column_panel(panel: BlockView) -> int:
     """Apply U_ii^-1 from the right to the trailing blocks of a (k*m) x m column panel.
 
     The first m x m block must hold U_ii in its upper triangle (a
-    lu_factor_block result); the strict lower part is ignored.
+    lu_factor_block result); the strict lower part is ignored.  Returns
+    m^2 (height - m) flops.
     """
     a = _matrix(panel, "transform_column_panel")
     height, m = a.shape
@@ -196,10 +207,11 @@ def transform_column_panel(panel: BlockView) -> None:
         )
     # X U = T  <=>  U^T X^T = T^T, solved on transposed views
     _lower_solve(a[:m, :].T, a[m:, :].T, pivot_epsilon(a.dtype))
+    return m * m * (height - m)
 
 
-def gemm(c: BlockView, a: BlockView, b: BlockView, co: GemmCoefficients) -> None:
-    """C = alpha*C + beta*A*(gamma*B), in place on C.
+def gemm(c: BlockView, a: BlockView, b: BlockView, co: GemmCoefficients) -> int:
+    """C = alpha*C + beta*A*(gamma*B), in place on C; returns 2 m k n flops.
 
     C must not share elements with A or B: the product is accumulated into
     C's storage directly.
@@ -216,6 +228,7 @@ def gemm(c: BlockView, a: BlockView, b: BlockView, co: GemmCoefficients) -> None
     if views_alias(c, a) or views_alias(c, b):
         raise AliasingError("gemm: C overlaps an input operand")
     cm[...] = co.alpha * cm + co.beta * (am @ (co.gamma * bm))
+    return 2 * am.shape[0] * am.shape[1] * bm.shape[1]
 
 
 def _squeeze_to(arr: np.ndarray, rank: int, what: str) -> np.ndarray:
@@ -257,7 +270,7 @@ def _deliver(out: np.ndarray, y: BlockView, store_to_buffer: bool,
 
 
 def convolution(x: BlockView, y: BlockView, w: BlockView,
-                flags: ConvControlFlags, fb: FeatureBuffer | None) -> None:
+                flags: ConvControlFlags, fb: FeatureBuffer | None) -> int:
     """Convolution / fully-connected kernel with flag-selected I/O routing.
 
     Plain mode: H x W x Cin input, Kh x Kw x Cin x Cout weights, stride-1
@@ -265,12 +278,11 @@ def convolution(x: BlockView, y: BlockView, w: BlockView,
     flattened and the weights act as an (out, in) matrix.  Input comes from
     the feature buffer or the X view; output goes to the feature buffer or
     the Y view.  When a flag routes I/O through the feature buffer the
-    corresponding view argument is ignored entirely.
+    corresponding view argument is ignored entirely.  Returns 2 x #weights
+    flops for FC, else 2 H W x #weights for the H x W map actually read.
     """
     if flags.read_input_from_buffer:
-        if fb is None or not fb.valid:
-            raise EmptyFeatureBufferError("convolution asked to read an empty feature buffer")
-        src = fb.read()
+        src = _stored_map(fb, "convolution")
     else:
         src = x.array()
     if flags.is_FC_layer:
@@ -279,22 +291,27 @@ def convolution(x: BlockView, y: BlockView, w: BlockView,
         if wt.shape[1] != vec.size:
             raise ShapeError(f"FC layer: weights expect {wt.shape[1]} inputs, got {vec.size}")
         out = wt @ vec
+        flops = 2 * wt.size
     else:
         arr = _squeeze_to(src, 3, "convolution input")
         wt = _squeeze_to(w.array(), 4, "convolution weights")
         out = _conv2d_same(arr, wt)
+        flops = 2 * arr.shape[0] * arr.shape[1] * wt.size
     if flags.with_ReLU:
         out = np.maximum(out, 0)
     _deliver(out, y, flags.store_output_to_buffer, fb)
+    return flops
 
 
-def maxpool(y: BlockView, store_output_to_buffer: bool, fb: FeatureBuffer | None) -> None:
-    """2x2 stride-2 max pooling per channel; always reads the feature buffer."""
-    if fb is None or not fb.valid:
-        raise EmptyFeatureBufferError("maxpool reads the feature buffer, which is empty")
-    arr = _squeeze_to(fb.read(), 3, "maxpool input")
+def maxpool(y: BlockView, store_output_to_buffer: bool, fb: FeatureBuffer | None) -> int:
+    """2x2 stride-2 max pooling per channel; always reads the feature buffer.
+
+    Returns one flop per element of the map read.
+    """
+    arr = _squeeze_to(_stored_map(fb, "maxpool"), 3, "maxpool input")
     h, w, c = arr.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool: spatial extents must be even, got {arr.shape}")
     pooled = arr.reshape(h // 2, 2, w // 2, 2, c).max(axis=(1, 3))
     _deliver(pooled, y, store_output_to_buffer, fb)
+    return arr.size

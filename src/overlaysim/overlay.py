@@ -13,8 +13,6 @@ import json
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from . import kernels
 from .errors import ConfigurationError, InvocationError, ParseError
 from .kernels import ConvControlFlags, FeatureBuffer, GemmCoefficients
@@ -28,8 +26,8 @@ PARAM_KINDS = ("view", "scalar", "flag")
 class IpDescriptor:
     """A kernel bound to a parameter signature, with access and work estimators.
 
-    run executes the kernel on the bound arguments and returns a
-    floating-point-operation estimate used for virtual trace times.
+    run executes the kernel on the bound arguments and returns the kernel's
+    own floating-point-operation estimate, which sets virtual trace times.
     access_sets derives the element footprints a task with these arguments
     will touch, including the feature buffer when flags route I/O there.
     """
@@ -183,23 +181,16 @@ def load_overlay(path) -> Overlay:
     return Overlay(doc["name"], interfaces)
 
 
-# --- kernel adapters --------------------------------------------------------
+# --- kernel bindings --------------------------------------------------------
 #
-# Each adapter unpacks a task's bound arguments, invokes the kernel, and
-# returns a flop estimate for virtual trace time.  Access-set derivations
-# mirror exactly what the kernel touches; dummy view arguments are skipped
-# whenever a flag routes that side through the feature buffer.
+# Each run binding passes a task's arguments straight to its kernel, which
+# returns its own flop estimate for virtual trace time.  Access-set
+# derivations mirror exactly what the kernel touches; dummy view arguments
+# are skipped whenever a flag routes that side through the feature buffer.
 
 def _fb_access(fb: FeatureBuffer, mode: str) -> AccessSet:
     # the slot is modeled as a one-cell resource: any two uses with a write conflict
     return AccessSet(fb.resource_id, ((0, 1),), mode)
-
-
-def _run_lu(args, fb) -> int:
-    (block,) = args
-    kernels.lu_factor_block(block)
-    m = block.shape[0]
-    return (2 * m ** 3) // 3
 
 
 def _access_lu(args, fb):
@@ -213,13 +204,6 @@ def _split_row_panel(panel: BlockView):
     head = ((r0, r1), (c0, c0 + m))
     tail = ((r0, r1), (c0 + m, c1))
     return head, tail
-
-
-def _run_row_panel(args, fb) -> int:
-    (panel,) = args
-    kernels.transform_row_panel(panel)
-    m, width = panel.shape
-    return m * m * (width - m)
 
 
 def _access_row_panel(args, fb):
@@ -239,13 +223,6 @@ def _split_column_panel(panel: BlockView):
     return head, tail
 
 
-def _run_column_panel(args, fb) -> int:
-    (panel,) = args
-    kernels.transform_column_panel(panel)
-    height, m = panel.shape
-    return m * m * (height - m)
-
-
 def _access_column_panel(args, fb):
     (panel,) = args
     head, tail = _split_column_panel(panel)
@@ -255,12 +232,6 @@ def _access_column_panel(args, fb):
     )
 
 
-def _run_gemm(args, fb) -> int:
-    c, a, b, alpha, beta, gamma = args
-    kernels.gemm(c, a, b, GemmCoefficients(alpha, beta, gamma))
-    return 2 * a.shape[0] * a.shape[1] * b.shape[1]
-
-
 def _access_gemm(args, fb):
     c, a, b, _alpha, _beta, _gamma = args
     return (
@@ -268,20 +239,6 @@ def _access_gemm(args, fb):
         access_set(a, READ),
         access_set(b, READ),
     )
-
-
-def _run_convolution(args, fb) -> int:
-    x, y, w, read_fb, store_fb, with_relu, is_fc = args
-    flags = ConvControlFlags(read_fb, store_fb, with_relu, is_fc)
-    if read_fb and fb is not None and fb.valid:
-        in_shape = fb.slot.shape
-    else:
-        in_shape = x.shape
-    kernels.convolution(x, y, w, flags, fb)
-    weight_work = int(np.prod(w.shape))
-    if is_fc:
-        return 2 * weight_work
-    return 2 * in_shape[0] * in_shape[1] * weight_work
 
 
 def _access_convolution(args, fb):
@@ -299,16 +256,6 @@ def _access_convolution(args, fb):
     return tuple(sets)
 
 
-def _run_maxpool(args, fb) -> int:
-    y, store_fb = args
-    if fb is not None and fb.valid:
-        work = int(np.prod(fb.slot.shape))
-    else:
-        work = 0
-    kernels.maxpool(y, store_fb, fb)
-    return work
-
-
 def _access_maxpool(args, fb):
     y, store_fb = args
     if store_fb:
@@ -317,18 +264,23 @@ def _access_maxpool(args, fb):
 
 
 IP_REGISTRY: dict[str, IpDescriptor] = {
-    "LU": IpDescriptor("LU", ("view",), _run_lu, _access_lu),
+    "LU": IpDescriptor(
+        "LU", ("view",), lambda args, fb: kernels.lu_factor_block(*args), _access_lu),
     "TransformRowPanel": IpDescriptor(
-        "TransformRowPanel", ("view",), _run_row_panel, _access_row_panel),
+        "TransformRowPanel", ("view",),
+        lambda args, fb: kernels.transform_row_panel(*args), _access_row_panel),
     "TransformColumnPanel": IpDescriptor(
-        "TransformColumnPanel", ("view",), _run_column_panel, _access_column_panel),
+        "TransformColumnPanel", ("view",),
+        lambda args, fb: kernels.transform_column_panel(*args), _access_column_panel),
     "GEMM": IpDescriptor(
         "GEMM", ("view", "view", "view", "scalar", "scalar", "scalar"),
-        _run_gemm, _access_gemm),
+        lambda args, fb: kernels.gemm(*args[:3], GemmCoefficients(*args[3:])),
+        _access_gemm),
     "Convolution": IpDescriptor(
         "Convolution", ("view", "view", "view", "flag", "flag", "flag", "flag"),
-        _run_convolution, _access_convolution, uses_feature_buffer=True),
+        lambda args, fb: kernels.convolution(*args[:3], ConvControlFlags(*args[3:]), fb),
+        _access_convolution, uses_feature_buffer=True),
     "Maxpool": IpDescriptor(
-        "Maxpool", ("view", "flag"), _run_maxpool, _access_maxpool,
-        uses_feature_buffer=True),
+        "Maxpool", ("view", "flag"), lambda args, fb: kernels.maxpool(*args, fb),
+        _access_maxpool, uses_feature_buffer=True),
 }

@@ -315,7 +315,8 @@ def run(overlay, graph: TaskGraph, worker_count: int = 1,
         if conflicts:
             raise DependenceConflictError(conflicts)
     frontier = _Frontier(graph)
-    free = list(range(worker_count))  # ascending, hence already a heap
+    # ascending, hence a heap; lowest-first use never needs more slots than tasks
+    free = list(range(min(worker_count, len(graph.tasks))))
     running: list[tuple[int, int, int]] = []  # (end, slot, task id)
     # starts happen in (vstart, id) order: nothing becomes ready while the
     # slots fill, and every duration is at least 1
@@ -389,14 +390,14 @@ def parse_trace(path) -> ExecutionTrace:
                 raise ParseError(f"{path}:{lineno}: edges must be a list")
             for pair in obj["edges"]:
                 if (not isinstance(pair, list) or len(pair) != 2
-                        or not all(isinstance(v, int) for v in pair)):
+                        or not all(type(v) is int for v in pair)):
                     raise ParseError(f"{path}:{lineno}: bad edge entry {pair!r}")
                 edges.append((pair[0], pair[1]))
             continue
         if set(obj) != set(_RECORD_KEYS):
             raise ParseError(f"{path}:{lineno}: record keys {sorted(obj)} do not match schema")
         if not isinstance(obj["kind"], str) or not all(
-                isinstance(obj[k], int) for k in _RECORD_KEYS if k != "kind"):
+                type(obj[k]) is int for k in _RECORD_KEYS if k != "kind"):
             raise ParseError(f"{path}:{lineno}: record field types do not match schema")
         records.append(TraceRecord(obj["id"], obj["kind"], obj["iter"], obj["queue"],
                                    obj["vstart"], obj["vend"], obj["worker"]))

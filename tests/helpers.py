@@ -3,8 +3,9 @@
 These reimplement checks at element granularity, independently of the
 library's interval-based machinery, so the two can be compared.  The
 quadratic conflict checker, the queue-scanning virtual replay, the
-thread-pool executor and the row/column loops of the LU kernels the library
-once used are kept here as the references for their replacements.
+thread-pool executor, the row/column loops of the LU kernels and the flop
+formulas of the overlay's old run adapters, all once used by the library,
+are kept here as the references for their replacements.
 """
 
 import heapq
@@ -229,6 +230,38 @@ def reference_transform_column_panel(a):
         if c:
             trailing[:, c] -= trailing[:, :c] @ upper[:c, c]
         trailing[:, c] /= diag
+
+
+def reference_flops(ip_name, args, fb):
+    """The flop estimate the overlay's run adapter for ip_name once computed
+    from a task's arguments and the feature buffer, before the kernel ran."""
+    if ip_name == "LU":
+        m = args[0].shape[0]
+        return (2 * m ** 3) // 3
+    if ip_name == "TransformRowPanel":
+        m, width = args[0].shape
+        return m * m * (width - m)
+    if ip_name == "TransformColumnPanel":
+        height, m = args[0].shape
+        return m * m * (height - m)
+    if ip_name == "GEMM":
+        _c, a, b = args[:3]
+        return 2 * a.shape[0] * a.shape[1] * b.shape[1]
+    if ip_name == "Convolution":
+        x, _y, w, read_fb, _store_fb, _with_relu, is_fc = args
+        if read_fb and fb is not None and fb.valid:
+            in_shape = fb.slot.shape
+        else:
+            in_shape = x.shape
+        weight_work = int(np.prod(w.shape))
+        if is_fc:
+            return 2 * weight_work
+        return 2 * in_shape[0] * in_shape[1] * weight_work
+    if ip_name == "Maxpool":
+        if fb is not None and fb.valid:
+            return int(np.prod(fb.slot.shape))
+        return 0
+    raise KeyError(ip_name)
 
 
 def noop_overlay(n_queues):

@@ -169,6 +169,16 @@ class TestInspect:
         assert "validation FAILED" in out
         assert "worker 0: tasks 0 and 1 overlap in virtual time" in out
 
+    def test_boolean_fields_are_parse_failure(self, tmp_path, capsys):
+        bad = tmp_path / "bool.trace"
+        bad.write_text(
+            '{"id": true, "kind": "a", "iter": 0, "queue": 0, "vstart": 0, "vend": 1, '
+            '"worker": false}\n{"edges": []}\n')
+        assert run_cli("inspect-trace", str(bad)) == 1
+        captured = capsys.readouterr()
+        assert f"{bad}:1: record field types do not match schema" in captured.err
+        assert "validation OK" not in captured.out
+
     def test_malformed_trace_is_parse_failure(self, tmp_path):
         bad = tmp_path / "bad.trace"
         bad.write_text("not json at all\n")

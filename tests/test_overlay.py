@@ -14,9 +14,22 @@ from overlaysim.overlay import (
     command,
     load_overlay,
 )
-from overlaysim.apps import lu_overlay, vgg_overlay
+from overlaysim.apps import (
+    LuProblem,
+    dominant_matrix,
+    lu_generate_tasks,
+    lu_overlay,
+    random_input,
+    seeded_weights,
+    small_config,
+    tiny_config,
+    vgg_generate_tasks,
+    vgg_overlay,
+)
 from overlaysim.runtime import build_task_graph
 from overlaysim.tensors import new_buffer, bcropped
+
+from helpers import reference_flops
 
 
 def test_command_binds_queue():
@@ -208,3 +221,35 @@ def test_feature_buffer_access_sets_ignore_dummies():
     assert y.id not in touched
     assert w.id in touched
     assert ov.feature_buffer.resource_id in touched
+
+
+def lu_graph(n, m):
+    overlay = lu_overlay()
+    tasks, rules = lu_generate_tasks(LuProblem(dominant_matrix(n, m, 0), n, m), overlay)
+    return overlay, build_task_graph(tasks, rules)
+
+
+def vgg_graph(config):
+    overlay = vgg_overlay()
+    tasks, rules, _ = vgg_generate_tasks(config, random_input(config, 0),
+                                         seeded_weights(config, 1), overlay)
+    return overlay, build_task_graph(tasks, rules)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lu_graph(3, 2),
+    lambda: lu_graph(3, 33),
+    lambda: lu_graph(2, 64),
+    lambda: vgg_graph(tiny_config(2)),
+    lambda: vgg_graph(small_config(1)),
+], ids=["lu-3-2", "lu-3-33", "lu-2-64", "vgg-tiny-2", "vgg-small-1"])
+def test_kernels_report_reference_flops(build):
+    """Each kernel's own flop estimate equals the old adapter formula, taken
+    before the call, for every task in dependence order."""
+    overlay, graph = build()
+    fb = overlay.feature_buffer
+    for tid in graph.topo_order:
+        task = graph.by_id[tid]
+        ip = overlay.interface(task.queue_no).ip
+        expected = reference_flops(ip.name, task.args, fb)
+        assert ip.run(task.args, fb) == expected, (task.id, task.kind)

@@ -1,6 +1,7 @@
 """Graph construction, conflict checking, scheduling, and trace handling."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -467,6 +468,20 @@ class TestRun:
         trace = run(overlay2, graph2, worker_count=1, unsafe=True)
         assert len(trace.records) == len(tasks2)
 
+    def test_huge_worker_count_allocates_no_more_slots_than_tasks(self):
+        _, overlay, tasks, rules = lu_setup(2, 2)
+        expected = run(overlay, build_task_graph(tasks, rules), len(tasks)).records
+        _, overlay, tasks, rules = lu_setup(2, 2)
+        graph = build_task_graph(tasks, rules)
+        tracemalloc.start()
+        try:
+            records = run(overlay, graph, worker_count=10**6).records
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert records == expected
+        assert peak < 2**20
+
     def test_bad_worker_count(self):
         ov = noop_overlay(1)
         graph = build_task_graph([ov.enqueue(0, [], 0)], [])
@@ -585,6 +600,18 @@ class TestTraceFiles:
         path = tmp_path / "bad.trace"
         path.write_text('{"id":0,"kind":"k"}\n{"edges":[]}\n')
         with pytest.raises(errors.ParseError):
+            parse_trace(path)
+
+    @pytest.mark.parametrize("text, lineno", [
+        ('{"id":true,"kind":"k","iter":0,"queue":0,"vstart":0,"vend":1,"worker":false}\n'
+         '{"edges":[]}\n', 1),
+        ('{"id":0,"kind":"k","iter":0,"queue":0,"vstart":0,"vend":1,"worker":0}\n'
+         '{"edges":[[0,true]]}\n', 2),
+    ], ids=["record", "edge"])
+    def test_parse_rejects_booleans_as_integers(self, tmp_path, text, lineno):
+        path = tmp_path / "bad.trace"
+        path.write_text(text)
+        with pytest.raises(errors.ParseError, match=f":{lineno}: "):
             parse_trace(path)
 
     def test_validate_catches_swapped_times(self):
