@@ -16,9 +16,7 @@ from .tensors import (
     write_tensor_text,
 )
 from .kernels import (
-    ConvControlFlags,
     FeatureBuffer,
-    GemmCoefficients,
     convolution,
     gemm,
     lu_factor_block,

@@ -9,10 +9,14 @@ block of order BLOCK or less therefore gives bit-identical results to those
 loops.  Both panel solves go through one lower triangular solver, with a unit
 or a stored diagonal; the column panel solves U^T X^T = T^T on transposed
 views.  The CNN kernels route their input/output through either DDR views or
-the single-slot feature buffer, selected by control flags.
+the single-slot feature buffer, which holds the stored result array itself.
 
-Every kernel returns its flop estimate, computed from the operand shapes it
-has checked; the runtime turns that count into the task's virtual duration.
+Every kernel takes a task's arguments as the task tuple carries them: views,
+then plain scalar coefficients (gemm's alpha, beta, gamma) or plain bool
+control flags (convolution's four, maxpool's one), then the feature buffer
+for the CNN kernels.  Every kernel returns its flop estimate, computed from
+the operand shapes it has checked; the runtime turns that count into the
+task's virtual duration.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .errors import (
     ShapeError,
     SingularPivotError,
 )
-from .tensors import BlockView, TensorBuffer, next_resource_id, views_alias
+from .tensors import BlockView, next_resource_id, views_alias
 
 # pivots below this magnitude count as singular (no pivoting is performed)
 PIVOT_EPSILON = {
@@ -46,60 +50,30 @@ def pivot_epsilon(dtype) -> float:
 BLOCK = 32
 
 
-@dataclass(frozen=True)
-class GemmCoefficients:
-    """Scaling factors for the fused update C = alpha*C + beta*A*(gamma*B)."""
-
-    alpha: float
-    beta: float
-    gamma: float
-
-    def __post_init__(self):
-        for name in ("alpha", "beta", "gamma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"coefficient {name} must be finite")
-
-
-@dataclass
-class ConvControlFlags:
-    """Control signals that reconfigure the convolution kernel per task."""
-
-    read_input_from_buffer: bool
-    store_output_to_buffer: bool
-    with_ReLU: bool
-    is_FC_layer: bool
-
-
 @dataclass
 class FeatureBuffer:
     """Single on-chip slot carrying an intermediate feature map between layers.
 
-    The slot is reallocated when the stored shape changes and reused
-    otherwise.  shape_log records every stored shape, in order, so tests can
-    follow the spatial extents through a pipeline.
+    slot holds the stored array itself, not a copy: every kernel stores a
+    freshly allocated result, which nothing else references.  shape_log
+    records every stored shape, in order, so tests can follow the spatial
+    extents through a pipeline.
     """
 
-    slot: TensorBuffer | None = None
+    slot: np.ndarray | None = None
     resource_id: int = field(default_factory=next_resource_id)
     shape_log: list = field(default_factory=list)
 
     def store(self, arr: np.ndarray) -> None:
-        if self.slot is not None and self.slot.shape == arr.shape and self.slot.dtype == arr.dtype:
-            self.slot.data[...] = arr
-        else:
-            self.slot = TensorBuffer(arr)
+        self.slot = arr
         self.shape_log.append(tuple(arr.shape))
-
-    @property
-    def valid(self) -> bool:
-        return self.slot is not None
 
 
 def _stored_map(fb: FeatureBuffer | None, what: str) -> np.ndarray:
     """The feature buffer's current map; raises when nothing has been stored."""
     if fb is None or fb.slot is None:
         raise EmptyFeatureBufferError(f"{what} reads the feature buffer, which is empty")
-    return fb.slot.data
+    return fb.slot
 
 
 def _matrix(view: BlockView, what: str) -> np.ndarray:
@@ -210,12 +184,17 @@ def transform_column_panel(panel: BlockView) -> int:
     return m * m * (height - m)
 
 
-def gemm(c: BlockView, a: BlockView, b: BlockView, co: GemmCoefficients) -> int:
+def gemm(c: BlockView, a: BlockView, b: BlockView,
+         alpha: float, beta: float, gamma: float) -> int:
     """C = alpha*C + beta*A*(gamma*B), in place on C; returns 2 m k n flops.
 
-    C must not share elements with A or B: the product is accumulated into
-    C's storage directly.
+    The coefficients must be finite; they are checked before any operand is
+    read.  C must not share elements with A or B: the product is accumulated
+    into C's storage directly.
     """
+    for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
+        if not math.isfinite(value):
+            raise ValueError(f"coefficient {name} must be finite")
     cm = _matrix(c, "gemm C")
     am = _matrix(a, "gemm A")
     bm = _matrix(b, "gemm B")
@@ -227,7 +206,7 @@ def gemm(c: BlockView, a: BlockView, b: BlockView, co: GemmCoefficients) -> int:
         )
     if views_alias(c, a) or views_alias(c, b):
         raise AliasingError("gemm: C overlaps an input operand")
-    cm[...] = co.alpha * cm + co.beta * (am @ (co.gamma * bm))
+    cm[...] = alpha * cm + beta * (am @ (gamma * bm))
     return 2 * am.shape[0] * am.shape[1] * bm.shape[1]
 
 
@@ -270,22 +249,25 @@ def _deliver(out: np.ndarray, y: BlockView, store_to_buffer: bool,
 
 
 def convolution(x: BlockView, y: BlockView, w: BlockView,
-                flags: ConvControlFlags, fb: FeatureBuffer | None) -> int:
+                read_input_from_buffer: bool, store_output_to_buffer: bool,
+                with_relu: bool, is_fc_layer: bool, fb: FeatureBuffer | None) -> int:
     """Convolution / fully-connected kernel with flag-selected I/O routing.
 
     Plain mode: H x W x Cin input, Kh x Kw x Cin x Cout weights, stride-1
     zero-padded cross-correlation preserving H x W.  FC mode: the input is
-    flattened and the weights act as an (out, in) matrix.  Input comes from
-    the feature buffer or the X view; output goes to the feature buffer or
-    the Y view.  When a flag routes I/O through the feature buffer the
-    corresponding view argument is ignored entirely.  Returns 2 x #weights
-    flops for FC, else 2 H W x #weights for the H x W map actually read.
+    flattened and the weights act as an (out, in) matrix; is_fc_layer picks
+    it.  Input comes from the feature buffer or the X view, output goes to
+    the feature buffer or the Y view, as read_input_from_buffer and
+    store_output_to_buffer say; with_relu clamps the result at zero.  When a
+    flag routes I/O through the feature buffer the corresponding view
+    argument is ignored entirely.  Returns 2 x #weights flops for FC, else
+    2 H W x #weights for the H x W map actually read.
     """
-    if flags.read_input_from_buffer:
+    if read_input_from_buffer:
         src = _stored_map(fb, "convolution")
     else:
         src = x.array()
-    if flags.is_FC_layer:
+    if is_fc_layer:
         wt = _squeeze_to(w.array(), 2, "FC weights")
         vec = src.reshape(-1)
         if wt.shape[1] != vec.size:
@@ -297,9 +279,9 @@ def convolution(x: BlockView, y: BlockView, w: BlockView,
         wt = _squeeze_to(w.array(), 4, "convolution weights")
         out = _conv2d_same(arr, wt)
         flops = 2 * arr.shape[0] * arr.shape[1] * wt.size
-    if flags.with_ReLU:
+    if with_relu:
         out = np.maximum(out, 0)
-    _deliver(out, y, flags.store_output_to_buffer, fb)
+    _deliver(out, y, store_output_to_buffer, fb)
     return flops
 
 

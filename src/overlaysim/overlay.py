@@ -15,7 +15,7 @@ from typing import Callable
 
 from . import kernels
 from .errors import ConfigurationError, InvocationError, ParseError
-from .kernels import ConvControlFlags, FeatureBuffer, GemmCoefficients
+from .kernels import FeatureBuffer
 from .runtime import TaskInstance
 from .tensors import READ, READ_WRITE, WRITE, AccessSet, BlockView, access_set
 
@@ -161,12 +161,19 @@ def load_overlay(path) -> Overlay:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON") from exc
-    if not isinstance(doc, dict) or "name" not in doc or "ips" not in doc:
-        raise ParseError(f"{path}: manifest must have 'name' and 'ips'")
+    if (not isinstance(doc, dict) or not isinstance(doc.get("name"), str)
+            or not isinstance(doc.get("ips"), list)):
+        raise ParseError(f"{path}: manifest must have a string 'name' and a list 'ips'")
     interfaces = []
     for entry in doc["ips"]:
-        if not isinstance(entry, dict) or not {"name", "queue", "signature"} <= set(entry):
-            raise ParseError(f"{path}: malformed ip entry {entry!r}")
+        # a JSON boolean is a Python int, so the queue's type is compared exactly
+        if (not isinstance(entry, dict) or not {"name", "queue", "signature"} <= set(entry)
+                or not isinstance(entry["name"], str) or type(entry["queue"]) is not int
+                or not isinstance(entry["signature"], list)
+                or not all(isinstance(kind, str) for kind in entry["signature"])):
+            raise ParseError(
+                f"{path}: malformed ip entry {entry!r}: expects a string 'name', "
+                f"an integer 'queue' and a list of strings 'signature'")
         ip = IP_REGISTRY.get(entry["name"])
         if ip is None:
             raise ConfigurationError(
@@ -177,14 +184,15 @@ def load_overlay(path) -> Overlay:
                 f"{path}: manifest signature {entry['signature']} does not match "
                 f"kernel {entry['name']}"
             )
-        interfaces.append(command(ip, int(entry["queue"])))
+        interfaces.append(command(ip, entry["queue"]))
     return Overlay(doc["name"], interfaces)
 
 
 # --- kernel bindings --------------------------------------------------------
 #
-# Each run binding passes a task's arguments straight to its kernel, which
-# returns its own flop estimate for virtual trace time.  Access-set
+# Each run binding unpacks a task's arguments, unsliced, into its kernel (the
+# CNN kernels also get the feature buffer); the kernel returns its own flop
+# estimate for virtual trace time.  Access-set
 # derivations mirror exactly what the kernel touches; dummy view arguments
 # are skipped whenever a flag routes that side through the feature buffer.
 
@@ -274,11 +282,10 @@ IP_REGISTRY: dict[str, IpDescriptor] = {
         lambda args, fb: kernels.transform_column_panel(*args), _access_column_panel),
     "GEMM": IpDescriptor(
         "GEMM", ("view", "view", "view", "scalar", "scalar", "scalar"),
-        lambda args, fb: kernels.gemm(*args[:3], GemmCoefficients(*args[3:])),
-        _access_gemm),
+        lambda args, fb: kernels.gemm(*args), _access_gemm),
     "Convolution": IpDescriptor(
         "Convolution", ("view", "view", "view", "flag", "flag", "flag", "flag"),
-        lambda args, fb: kernels.convolution(*args[:3], ConvControlFlags(*args[3:]), fb),
+        lambda args, fb: kernels.convolution(*args, fb),
         _access_convolution, uses_feature_buffer=True),
     "Maxpool": IpDescriptor(
         "Maxpool", ("view", "flag"), lambda args, fb: kernels.maxpool(*args, fb),

@@ -264,9 +264,9 @@ def check_dependence_sufficiency(graph: TaskGraph) -> list[Conflict]:
             seen = set()
             for s1 in t1.access_sets:
                 for s2 in t2.access_sets:
-                    if not s1.conflicts_with(s2):
+                    overlap = s1.conflict(s2)
+                    if overlap is None:
                         continue
-                    overlap = s1.intersection(s2)
                     key = (s1.buffer_id, overlap, s1.mode, s2.mode)
                     if key in seen:
                         continue

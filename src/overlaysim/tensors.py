@@ -164,11 +164,6 @@ def cropped(buf: TensorBuffer, axis: int, start: int, extent: int) -> BlockView:
     return BlockView(buf, ranges)
 
 
-def ranges_overlap(a, b) -> bool:
-    """True when two per-axis range tuples intersect on every axis."""
-    return all(lo1 < hi2 and lo2 < hi1 for (lo1, hi1), (lo2, hi2) in zip(a, b))
-
-
 def ranges_intersection(a, b):
     """Per-axis intersection, or None when any axis is disjoint."""
     out = []
@@ -182,7 +177,8 @@ def ranges_intersection(a, b):
 
 def views_alias(a: BlockView, b: BlockView) -> bool:
     """True when two views can touch the same element."""
-    return a.buffer.id == b.buffer.id and ranges_overlap(a.elem_ranges, b.elem_ranges)
+    return (a.buffer.id == b.buffer.id
+            and ranges_intersection(a.elem_ranges, b.elem_ranges) is not None)
 
 
 @dataclass(frozen=True)
@@ -201,16 +197,10 @@ class AccessSet:
     def writes(self) -> bool:
         return self.mode != READ
 
-    def conflicts_with(self, other: "AccessSet") -> bool:
-        """Same buffer, overlap on every axis, and at least one side writes."""
-        if self.buffer_id != other.buffer_id:
-            return False
-        if not (self.writes or other.writes):
-            return False
-        return ranges_overlap(self.ranges, other.ranges)
-
-    def intersection(self, other: "AccessSet"):
-        if self.buffer_id != other.buffer_id:
+    def conflict(self, other: "AccessSet"):
+        """The region both sets touch when they share a buffer and at least
+        one writes; None otherwise, including when the ranges are disjoint."""
+        if self.buffer_id != other.buffer_id or not (self.writes or other.writes):
             return None
         return ranges_intersection(self.ranges, other.ranges)
 

@@ -89,9 +89,9 @@ def reference_conflicts(graph):
             seen = set()
             for s1 in t1.access_sets:
                 for s2 in t2.access_sets:
-                    if not s1.conflicts_with(s2):
+                    overlap = s1.conflict(s2)
+                    if overlap is None:
                         continue
-                    overlap = s1.intersection(s2)
                     key = (s1.buffer_id, overlap, s1.mode, s2.mode)
                     if key in seen:
                         continue
@@ -249,7 +249,7 @@ def reference_flops(ip_name, args, fb):
         return 2 * a.shape[0] * a.shape[1] * b.shape[1]
     if ip_name == "Convolution":
         x, _y, w, read_fb, _store_fb, _with_relu, is_fc = args
-        if read_fb and fb is not None and fb.valid:
+        if read_fb and fb is not None and fb.slot is not None:
             in_shape = fb.slot.shape
         else:
             in_shape = x.shape
@@ -258,7 +258,7 @@ def reference_flops(ip_name, args, fb):
             return 2 * weight_work
         return 2 * in_shape[0] * in_shape[1] * weight_work
     if ip_name == "Maxpool":
-        if fb is not None and fb.valid:
+        if fb is not None and fb.slot is not None:
             return int(np.prod(fb.slot.shape))
         return 0
     raise KeyError(ip_name)

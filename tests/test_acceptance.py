@@ -20,14 +20,12 @@ from overlaysim.apps import (
     vgg_overlay,
 )
 from overlaysim.kernels import (
-    GemmCoefficients,
     convolution,
     gemm,
     lu_factor_block,
     maxpool,
     transform_column_panel,
     transform_row_panel,
-    ConvControlFlags,
     FeatureBuffer,
 )
 from overlaysim.oracles import (
@@ -303,7 +301,7 @@ def test_criterion_8_kernel_unit_suites():
     # GEMM against a hand-computed product
     c = TensorBuffer(np.eye(2)).view()
     gemm(c, TensorBuffer(np.array([[1.0, 2.0], [3.0, 4.0]])).view(),
-         TensorBuffer(np.eye(2)).view(), GemmCoefficients(1.0, 1.0, 1.0))
+         TensorBuffer(np.eye(2)).view(), 1.0, 1.0, 1.0)
     assert np.max(np.abs(c.array() - [[2.0, 2.0], [3.0, 5.0]])) <= 1e-12
 
     # panel solves against dense triangular solves
@@ -329,7 +327,7 @@ def test_criterion_8_kernel_unit_suites():
     w0 = rng.uniform(-1, 1, (3, 3, 3, 2))
     y = TensorBuffer(np.zeros((6, 6, 2))).view()
     convolution(TensorBuffer(x0.copy()).view(), y, TensorBuffer(w0.copy()).view(),
-                ConvControlFlags(False, False, False, False), None)
+                False, False, False, False, None)
     assert np.max(np.abs(y.array() - conv2d_naive(x0, w0))) <= 1e-12
 
     fb = FeatureBuffer()
@@ -349,7 +347,7 @@ def test_criterion_8_kernel_unit_suites():
     transform_column_panel(col_panel)
     trailing = bcropped(guard, 2, 2, 3, 2, 3)
     gemm(trailing, bcropped(guard, 2, 2, 3, 1, 1), bcropped(guard, 2, 1, 1, 2, 3),
-         GemmCoefficients(1.0, -1.0, 1.0))
+         1.0, -1.0, 1.0)
     mask = np.ones((8, 8), dtype=bool)
     mask[2:4, 2:4] = False  # factored block
     mask[2:4, 4:8] = False  # row panel tail

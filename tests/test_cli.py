@@ -87,6 +87,23 @@ class TestRunLu:
         assert run_cli("run", "lu", "--n", "2", "--m", "2",
                        "--overlay", str(manifest), "--verify") == 0
 
+    def test_mistyped_manifest_is_parse_failure(self, tmp_path, capsys):
+        manifest = tmp_path / "lu.overlay.json"
+        assert run_cli("build", "lu", "--out", str(manifest)) == 0
+        good = json.loads(manifest.read_text())
+        for field, value in (("queue", False), ("queue", 2.9), ("name", ["LU"]),
+                             ("signature", 5)):
+            doc = json.loads(json.dumps(good))
+            doc["ips"][0][field] = value
+            manifest.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert run_cli("run", "lu", "--n", "2", "--m", "2",
+                           "--overlay", str(manifest), "--verify") == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: {manifest}: malformed ip entry")
+            assert "Traceback" not in captured.err
+            assert "PASS" not in captured.out
+
     def test_misaligned_input_fails(self, tmp_path):
         src = tmp_path / "a.txt"
         write_tensor_text(dominant_matrix(2, 3, seed=9), src)

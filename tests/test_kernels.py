@@ -12,9 +12,7 @@ from helpers import (
 )
 from overlaysim import errors
 from overlaysim.kernels import (
-    ConvControlFlags,
     FeatureBuffer,
-    GemmCoefficients,
     convolution,
     gemm,
     lu_factor_block,
@@ -279,14 +277,14 @@ class TestGemm:
         c = view_of([[3.0, 1.0], [2.0, 7.0]])
         before = c.array().copy()
         gemm(c, view_of(np.ones((2, 2))), view_of(np.ones((2, 2))),
-             GemmCoefficients(1.0, 0.0, 1.0))
+             1.0, 0.0, 1.0)
         np.testing.assert_array_equal(c.array(), before)
 
     def test_hand_example(self):
         c = view_of(np.eye(2))
         a = view_of([[1.0, 2.0], [3.0, 4.0]])
         b = view_of(np.eye(2))
-        gemm(c, a, b, GemmCoefficients(1.0, 1.0, 1.0))
+        gemm(c, a, b, 1.0, 1.0, 1.0)
         np.testing.assert_allclose(c.array(), [[2.0, 2.0], [3.0, 5.0]])
 
     def test_trailing_update_form(self):
@@ -294,36 +292,46 @@ class TestGemm:
         rng = np.random.default_rng(6)
         c0, a0, b0 = rng.normal(size=(3, 3)), rng.normal(size=(3, 2)), rng.normal(size=(2, 3))
         c = view_of(c0)
-        gemm(c, view_of(a0), view_of(b0), GemmCoefficients(1.0, -1.0, 1.0))
+        gemm(c, view_of(a0), view_of(b0), 1.0, -1.0, 1.0)
         np.testing.assert_allclose(c.array(), c0 - a0 @ b0, atol=1e-12)
 
     def test_inner_dimension_mismatch(self):
         with pytest.raises(errors.ShapeError):
             gemm(view_of(np.ones((2, 2))), view_of(np.ones((2, 3))),
-                 view_of(np.ones((2, 2))), GemmCoefficients(1, 1, 1))
+                 view_of(np.ones((2, 2))), 1, 1, 1)
 
     def test_result_shape_mismatch(self):
         with pytest.raises(errors.ShapeError):
             gemm(view_of(np.ones((3, 2))), view_of(np.ones((2, 3))),
-                 view_of(np.ones((3, 2))), GemmCoefficients(1, 1, 1))
+                 view_of(np.ones((3, 2))), 1, 1, 1)
 
     def test_aliasing_rejected(self):
         buf = TensorBuffer(np.ones((4, 4)))
         c = bcropped(buf, 2, 0, 0, 0, 1)        # rows [0,2) x cols [0,4)
         a_overlap = bcropped(buf, 2, 0, 0, 0, 0)  # rows [0,2) x cols [0,2)
         with pytest.raises(errors.AliasingError):
-            gemm(c, a_overlap, view_of(np.ones((2, 4))), GemmCoefficients(1, 1, 1))
+            gemm(c, a_overlap, view_of(np.ones((2, 4))), 1, 1, 1)
         b_overlap = bcropped(buf, 2, 0, 0, 0, 1)  # same region as c
         with pytest.raises(errors.AliasingError):
-            gemm(c, view_of(np.ones((2, 2))), b_overlap, GemmCoefficients(1, 1, 1))
+            gemm(c, view_of(np.ones((2, 2))), b_overlap, 1, 1, 1)
         # disjoint regions of the same buffer are fine
         c2 = bcropped(buf, 2, 0, 0, 0, 0)
         a2 = bcropped(buf, 2, 1, 1, 0, 0)
-        gemm(c2, a2, view_of(np.ones((2, 2))), GemmCoefficients(1.0, 1.0, 1.0))
+        gemm(c2, a2, view_of(np.ones((2, 2))), 1.0, 1.0, 1.0)
 
     def test_non_finite_coefficients(self):
-        with pytest.raises(ValueError):
-            GemmCoefficients(1.0, float("nan"), 1.0)
+        c = view_of(np.eye(2))
+        before = c.array().copy()
+        for name, coefficients in (("alpha", (float("nan"), 1.0, 1.0)),
+                                   ("beta", (1.0, float("inf"), 1.0)),
+                                   ("gamma", (1.0, 1.0, -float("inf")))):
+            with pytest.raises(ValueError, match=f"coefficient {name} must be finite"):
+                gemm(c, view_of(np.ones((2, 2))), view_of(np.ones((2, 2))), *coefficients)
+        np.testing.assert_array_equal(c.array(), before)
+        # checked before the operands: these shapes would raise ShapeError
+        with pytest.raises(ValueError, match="coefficient beta"):
+            gemm(view_of(np.ones((3, 2))), view_of(np.ones((2, 3))),
+                 view_of(np.ones((2, 2))), 1.0, float("nan"), 1.0)
 
     @given(st.integers(0, 2 ** 31), st.floats(-2, 2), st.floats(-2, 2))
     @settings(max_examples=40)
@@ -333,9 +341,9 @@ class TestGemm:
         a0 = rng.normal(size=(3, 3))
         b0 = rng.normal(size=(3, 3))
         left = view_of(c0)
-        gemm(left, view_of(a0), view_of(b0), GemmCoefficients(1.0, b_coef, g_coef))
+        gemm(left, view_of(a0), view_of(b0), 1.0, b_coef, g_coef)
         right = view_of(c0)
-        gemm(right, view_of(a0), view_of(b0), GemmCoefficients(1.0, b_coef * g_coef, 1.0))
+        gemm(right, view_of(a0), view_of(b0), 1.0, b_coef * g_coef, 1.0)
         np.testing.assert_allclose(left.array(), right.array(), atol=1e-12)
 
 
@@ -343,7 +351,8 @@ def fresh_fb():
     return FeatureBuffer()
 
 
-DDR_FLAGS = ConvControlFlags(False, False, False, False)
+# read_input_from_buffer, store_output_to_buffer, with_relu, is_fc_layer
+DDR_FLAGS = (False, False, False, False)
 
 
 class TestConvolution:
@@ -351,19 +360,19 @@ class TestConvolution:
         x = view_of(np.full((1, 1, 1), 3.0))
         y = view_of(np.zeros((1, 1, 1)))
         w = TensorBuffer(np.full((1, 1, 1, 1), 2.0)).view()
-        convolution(x, y, w, DDR_FLAGS, None)
+        convolution(x, y, w, *DDR_FLAGS, None)
         assert y.array()[0, 0, 0] == 6.0
 
     def test_relu_clamps_negative_field(self):
         x = view_of(np.full((4, 4, 2), -1.0))
         y = view_of(np.zeros((4, 4, 3)))
         w = TensorBuffer(np.abs(np.random.default_rng(7).normal(size=(3, 3, 2, 3)))).view()
-        flags = ConvControlFlags(False, False, True, False)
-        convolution(x, y, w, flags, None)
+        flags = (False, False, True, False)
+        convolution(x, y, w, *flags, None)
         assert np.all(y.array() == 0.0)
         # same weights without ReLU give strictly negative sums somewhere
         y2 = view_of(np.zeros((4, 4, 3)))
-        convolution(x, y2, w, DDR_FLAGS, None)
+        convolution(x, y2, w, *DDR_FLAGS, None)
         assert np.min(y2.array()) < 0.0
 
     def test_averaging_kernel_matches_nested_loops(self):
@@ -371,7 +380,7 @@ class TestConvolution:
         x0 = rng.uniform(-1, 1, (4, 4, 1))
         w0 = np.full((3, 3, 1, 1), 1.0 / 9.0)
         y = view_of(np.zeros((4, 4, 1)))
-        convolution(view_of(x0), y, view_of(w0), DDR_FLAGS, None)
+        convolution(view_of(x0), y, view_of(w0), *DDR_FLAGS, None)
         expected = conv2d_naive(x0, w0)
         assert np.max(np.abs(y.array() - expected)) <= 1e-12
 
@@ -380,7 +389,7 @@ class TestConvolution:
         x0 = rng.uniform(-1, 1, (5, 6, 3))
         w0 = rng.uniform(-1, 1, (3, 3, 3, 4))
         y = view_of(np.zeros((5, 6, 4)))
-        convolution(view_of(x0), y, view_of(w0), DDR_FLAGS, None)
+        convolution(view_of(x0), y, view_of(w0), *DDR_FLAGS, None)
         np.testing.assert_allclose(y.array(), conv2d_naive(x0, w0), atol=1e-12)
 
     def test_channel_mismatch(self):
@@ -388,13 +397,13 @@ class TestConvolution:
         y = view_of(np.zeros((4, 4, 1)))
         w = view_of(np.zeros((3, 3, 3, 1)))
         with pytest.raises(errors.ShapeError):
-            convolution(x, y, w, DDR_FLAGS, None)
+            convolution(x, y, w, *DDR_FLAGS, None)
 
     def test_read_from_empty_feature_buffer(self):
-        flags = ConvControlFlags(True, False, False, False)
+        flags = (True, False, False, False)
         x = view_of(np.zeros((2, 2, 1)))
         with pytest.raises(errors.EmptyFeatureBufferError):
-            convolution(x, x, view_of(np.zeros((1, 1, 1, 1))), flags, fresh_fb())
+            convolution(x, x, view_of(np.zeros((1, 1, 1, 1))), *flags, fresh_fb())
 
     def test_feature_buffer_routing(self):
         fb = fresh_fb()
@@ -404,12 +413,12 @@ class TestConvolution:
         dummy = view_of(np.zeros((1,)))
         # store pass: DDR -> feature buffer
         convolution(view_of(x0), dummy, view_of(w_id),
-                    ConvControlFlags(False, True, False, False), fb)
-        assert fb.valid and fb.slot.shape == (4, 4, 2)
+                    False, True, False, False, fb)
+        assert fb.slot is not None and fb.slot.shape == (4, 4, 2)
         # read pass: feature buffer -> DDR
         y = view_of(np.zeros((4, 4, 2)))
         convolution(dummy, y, view_of(w_id),
-                    ConvControlFlags(True, False, False, False), fb)
+                    True, False, False, False, fb)
         np.testing.assert_allclose(y.array(), x0)
 
     def test_fc_mode_matches_naive(self):
@@ -418,25 +427,25 @@ class TestConvolution:
         w0 = rng.uniform(-1, 1, (5, 12))
         y = view_of(np.zeros(5))
         convolution(view_of(x0), y, view_of(w0),
-                    ConvControlFlags(False, False, False, True), None)
+                    False, False, False, True, None)
         np.testing.assert_allclose(y.array(), fc_naive(w0, x0.reshape(-1)), atol=1e-12)
 
     def test_fc_width_mismatch(self):
         x = view_of(np.zeros((2, 2, 1)))
         w = view_of(np.zeros((5, 7)))
         with pytest.raises(errors.ShapeError):
-            convolution(x, x, w, ConvControlFlags(False, False, False, True), None)
+            convolution(x, x, w, False, False, False, True, None)
 
     def test_relu_idempotent_through_identity_weights(self):
         rng = np.random.default_rng(12)
         x0 = rng.uniform(-1, 1, (4, 4, 2))
         w_id = np.zeros((1, 1, 2, 2))
         w_id[0, 0, 0, 0] = w_id[0, 0, 1, 1] = 1.0
-        flags = ConvControlFlags(False, False, True, False)
+        flags = (False, False, True, False)
         once = view_of(np.zeros((4, 4, 2)))
-        convolution(view_of(x0), once, view_of(w_id), flags, None)
+        convolution(view_of(x0), once, view_of(w_id), *flags, None)
         twice = view_of(np.zeros((4, 4, 2)))
-        convolution(once, twice, view_of(w_id), flags, None)
+        convolution(once, twice, view_of(w_id), *flags, None)
         np.testing.assert_array_equal(once.array(), twice.array())
 
 
@@ -531,7 +540,7 @@ class TestInPlaceContainment:
         c = bcropped(buf, 2, 1, 2, 1, 2)
         a = view_of(np.ones((4, 4)))
         b = view_of(np.ones((4, 4)))
-        gemm(c, a, b, GemmCoefficients(0.5, 1.0, 1.0))
+        gemm(c, a, b, 0.5, 1.0, 1.0)
         self.assert_outside_unchanged(buf, c, before)
 
     def test_convolution_output_view(self):
@@ -540,7 +549,7 @@ class TestInPlaceContainment:
         y = BlockView(buf, ((1, 5), (1, 5), (0, 2)))
         x = view_of(np.random.default_rng(24).uniform(0, 1, (4, 4, 2)))
         w = view_of(np.random.default_rng(25).uniform(0, 1, (3, 3, 2, 2)))
-        convolution(x, y, w, DDR_FLAGS, None)
+        convolution(x, y, w, *DDR_FLAGS, None)
         mask = np.ones(buf.shape, dtype=bool)
         mask[1:5, 1:5, :] = False
         np.testing.assert_array_equal(buf.data[mask], before[mask])

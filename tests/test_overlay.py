@@ -77,7 +77,7 @@ def test_vgg_overlay_has_two_queues_and_feature_buffer():
     ov = vgg_overlay()
     assert sorted(ov.interfaces) == [0, 1]
     assert ov.feature_buffer is not None
-    assert not ov.feature_buffer.valid
+    assert ov.feature_buffer.slot is None
 
 
 def test_unknown_parameter_kind_rejected():
@@ -118,6 +118,28 @@ class TestManifests:
         path.write_text(json.dumps({"name": "x"}))
         with pytest.raises(errors.ParseError):
             load_overlay(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("queue", False), ("queue", True), ("queue", "1"), ("queue", 2.9), ("queue", None),
+        ("name", ["LU"]), ("name", 5),
+        ("signature", 5), ("signature", "view"), ("signature", [1]),
+        ("overlay name", 5), ("ips", 5),
+    ])
+    def test_field_types_checked(self, tmp_path, field, value):
+        doc = lu_overlay().manifest()
+        if field == "overlay name":
+            doc["name"] = value
+        elif field == "ips":
+            doc["ips"] = value
+        else:
+            doc["ips"][0][field] = value
+        path = tmp_path / "typed.overlay.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(errors.ParseError) as exc:
+            load_overlay(path)
+        assert str(path) in str(exc.value)
+        if field in ("queue", "name", "signature"):
+            assert repr(doc["ips"][0]) in str(exc.value)
 
     def test_signature_mismatch_in_manifest(self, tmp_path):
         path = tmp_path / "bad.overlay.json"

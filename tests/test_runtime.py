@@ -348,10 +348,10 @@ def test_run_matches_threaded_reference_on_random_graphs(data):
 
 
 def recording_overlay(overlay, calls):
-    """The overlay's kernels, each call first appending (args, thread ident) to calls."""
+    """The overlay's kernels, each call first appending (args, fb, thread ident) to calls."""
     def recorded(ip):
         def body(args, fb):
-            calls.append((args, threading.get_ident()))
+            calls.append((args, fb, threading.get_ident()))
             return ip.run(args, fb)
         return IpDescriptor(ip.name, ip.signature, body, ip.access_sets,
                             ip.uses_feature_buffer)
@@ -438,8 +438,30 @@ class TestRun:
         tasks, rules = lu_generate_tasks(problem, overlay)
         trace = run(overlay, build_task_graph(tasks, rules), worker_count=workers)
         task_of = {id(t.args): t.id for t in tasks}
-        assert [task_of[id(args)] for args, _ in calls] == [r.id for r in trace.records]
-        assert {ident for _, ident in calls} == {threading.get_ident()}
+        assert [task_of[id(args)] for args, _, _ in calls] == [r.id for r in trace.records]
+        assert {ident for _, _, ident in calls} == {threading.get_ident()}
+
+    @pytest.mark.parametrize("app", ["lu", "vgg"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_each_body_gets_its_tasks_own_args_and_the_feature_buffer(self, app, workers):
+        """run() calls each body once per task, in trace order, with the task's
+        own args object (kernel spans are matched to tasks by id(args)) and
+        the overlay's feature buffer."""
+        calls = []
+        overlay = recording_overlay(lu_overlay() if app == "lu" else vgg_overlay(), calls)
+        if app == "lu":
+            tasks, rules = lu_generate_tasks(LuProblem(dominant_matrix(3, 2, 0), 3, 2), overlay)
+        else:
+            cfg = tiny_config(batch=2)
+            tasks, rules, _ = vgg_generate_tasks(cfg, random_input(cfg, 0),
+                                                 seeded_weights(cfg, 1), overlay)
+            assert overlay.feature_buffer is not None
+        by_id = {t.id: t for t in tasks}
+        trace = run(overlay, build_task_graph(tasks, rules), worker_count=workers)
+        assert len(calls) == len(tasks) == len(trace.records)
+        for (args, fb, _), record in zip(calls, trace.records):
+            assert args is by_id[record.id].args
+            assert fb is overlay.feature_buffer
 
     def test_unsafe_run_is_deterministic(self):
         """Without the factor<-update rule the LU tasks race on the diagonal

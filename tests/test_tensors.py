@@ -159,18 +159,17 @@ class TestAccessSets:
         buf = new_buffer([4, 4])
         a = access_set(bcropped(buf, 2, 0, 0, 0, 0), WRITE)
         b = access_set(bcropped(buf, 2, 1, 1, 1, 1), WRITE)
-        assert a.intersection(b) is None
-        assert not a.conflicts_with(b)
+        assert a.conflict(b) is None
 
     def test_reads_never_conflict(self):
         buf = new_buffer([4])
         a = access_set(buf.view(), READ)
-        assert not a.conflicts_with(a)
+        assert a.conflict(a) is None
 
     def test_different_buffers_never_conflict(self):
         a = access_set(new_buffer([4]).view(), WRITE)
         b = access_set(new_buffer([4]).view(), WRITE)
-        assert not a.conflicts_with(b)
+        assert a.conflict(b) is None
 
     def test_bad_mode(self):
         with pytest.raises(errors.InvalidCropError):
@@ -180,7 +179,8 @@ class TestAccessSets:
 @given(st.data())
 @settings(max_examples=120)
 def test_conflict_matches_per_element_brute_force(data):
-    """Interval-based conflict detection agrees with element enumeration."""
+    """Interval-based conflict detection agrees with element enumeration: the
+    returned region holds exactly the elements both sets touch."""
     rank = data.draw(st.integers(1, 3))
     shape = tuple(data.draw(st.integers(1, 4)) for _ in range(rank))
 
@@ -200,7 +200,11 @@ def test_conflict_matches_per_element_brute_force(data):
     ra, wa = element_footprint(a)
     rb, wb = element_footprint(b)
     brute = bool((wa & (rb | wb)) or (wb & (ra | wa)))
-    assert a.conflicts_with(b) == brute
+    region = a.conflict(b)
+    assert (region is not None) == brute
+    if region is not None:
+        common, _ = element_footprint(AccessSet(a.buffer_id, region, READ))
+        assert common == (ra | wa) & (rb | wb)
 
 
 class TestTensorText:
