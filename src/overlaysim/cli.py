@@ -1,6 +1,6 @@
 """Command-line front end: build overlays, run the applications, inspect traces.
 
-Exit codes: 0 success, 1 verification or kernel failure, 2 usage error.
+Exit codes: 0 success, 1 verification, kernel or file failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -168,9 +168,22 @@ def cmd_run(args) -> int:
 def cmd_inspect(args) -> int:
     trace = parse_trace(args.path)
     problems = validate_trace(trace)
-    if not trace.records:
+    if trace.records:
+        _print_summary(trace)
+    elif not problems:
         print("empty trace")
         return EXIT_OK
+    if problems:
+        print(f"validation FAILED ({len(problems)} problem(s)):")
+        for p in problems:
+            print("  " + p)
+        return EXIT_FAIL
+    print("validation OK: records form a linear extension of the recorded edges")
+    return EXIT_OK
+
+
+def _print_summary(trace) -> None:
+    """Span, busy time per queue and per worker, and the critical path."""
     span_start = min(r.vstart for r in trace.records)
     span_end = max(r.vend for r in trace.records)
     span = max(1, span_end - span_start)
@@ -200,14 +213,6 @@ def cmd_inspect(args) -> int:
             longest[rec.id] = duration[rec.id] + max(longest[p] for p in preds[rec.id])
     print(f"critical path: {max(longest.values())} virtual time units")
 
-    if problems:
-        print(f"validation FAILED ({len(problems)} problem(s)):")
-        for p in problems:
-            print("  " + p)
-        return EXIT_FAIL
-    print("validation OK: records form a linear extension of the recorded edges")
-    return EXIT_OK
-
 
 def main(argv=None) -> int:
     parser = make_parser()
@@ -218,7 +223,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(args)
         return cmd_inspect(args)
-    except OverlayError as exc:
+    except (OverlayError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

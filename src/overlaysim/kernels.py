@@ -1,4 +1,5 @@
-"""Software bodies of the six overlay kernels, plus the on-chip feature buffer model.
+"""Software bodies of the six overlay kernels, their access sets, and the
+on-chip feature buffer model.
 
 The four dense linear-algebra kernels update their operands in place: results
 land in the same storage the input views expose.  The LU factor and the two
@@ -17,6 +18,10 @@ control flags (convolution's four, maxpool's one), then the feature buffer
 for the CNN kernels.  Every kernel returns its flop estimate, computed from
 the operand shapes it has checked; the runtime turns that count into the
 task's virtual duration.
+
+Below each kernel, X_access_sets takes its arguments and returns the element
+ranges it reads and writes.  A panel kernel and its access sets share one
+shape check, so a panel the kernel would reject has no footprint either.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ from .errors import (
     ShapeError,
     SingularPivotError,
 )
-from .tensors import BlockView, next_resource_id, views_alias
+from .tensors import (READ, READ_WRITE, WRITE, AccessSet, BlockView, access_set,
+                      next_resource_id)
 
 # pivots below this magnitude count as singular (no pivoting is performed)
 PIVOT_EPSILON = {
@@ -67,6 +73,10 @@ class FeatureBuffer:
     def store(self, arr: np.ndarray) -> None:
         self.slot = arr
         self.shape_log.append(tuple(arr.shape))
+
+    def access(self, mode: str) -> AccessSet:
+        """The slot as a one-cell resource: any two uses with a write conflict."""
+        return AccessSet(self.resource_id, ((0, 1),), mode)
 
 
 def _stored_map(fb: FeatureBuffer | None, what: str) -> np.ndarray:
@@ -149,6 +159,24 @@ def lu_factor_block(block: BlockView) -> int:
     return (2 * a.shape[0] ** 3) // 3
 
 
+def lu_factor_block_access_sets(block: BlockView) -> tuple[AccessSet, ...]:
+    return (access_set(block, READ_WRITE),)
+
+
+def _panel_order(panel: BlockView, row: bool) -> int:
+    """The order m of the head block of an m x (k*m) row panel or a (k*m) x m
+    column panel, k >= 2; any other shape raises ShapeError."""
+    what = "transform_row_panel" if row else "transform_column_panel"
+    shape = panel.shape
+    if len(shape) != 2:
+        raise ShapeError(f"{what}: expected a rank-2 view, got shape {shape}")
+    m, length = shape if row else shape[::-1]
+    if length <= m or length % m:
+        form = "m x (k*m)" if row else "(k*m) x m"
+        raise ShapeError(f"{what}: panel must be {form} with k >= 2, got {shape}")
+    return m
+
+
 def transform_row_panel(panel: BlockView) -> int:
     """Apply L_ii^-1 to the trailing blocks of an m x (k*m) row panel, in place.
 
@@ -156,14 +184,18 @@ def transform_row_panel(panel: BlockView) -> int:
     strict lower triangle (plus the implicit unit diagonal) is read.  Returns
     m^2 (width - m) flops.
     """
-    a = _matrix(panel, "transform_row_panel")
-    m, width = a.shape
-    if width <= m or width % m:
-        raise ShapeError(
-            f"transform_row_panel: panel must be m x (k*m) with k >= 2, got {a.shape}"
-        )
+    m = _panel_order(panel, row=True)
+    a = panel.array()
     _lower_solve(a[:, :m], a[:, m:])
-    return m * m * (width - m)
+    return m * m * (a.shape[1] - m)
+
+
+def transform_row_panel_access_sets(panel: BlockView) -> tuple[AccessSet, ...]:
+    """Reads the head block, reads and writes the trailing blocks."""
+    m = _panel_order(panel, row=True)
+    rows, (c0, c1) = panel.elem_ranges
+    return (AccessSet(panel.buffer.id, (rows, (c0, c0 + m)), READ),
+            AccessSet(panel.buffer.id, (rows, (c0 + m, c1)), READ_WRITE))
 
 
 def transform_column_panel(panel: BlockView) -> int:
@@ -173,15 +205,19 @@ def transform_column_panel(panel: BlockView) -> int:
     lu_factor_block result); the strict lower part is ignored.  Returns
     m^2 (height - m) flops.
     """
-    a = _matrix(panel, "transform_column_panel")
-    height, m = a.shape
-    if height <= m or height % m:
-        raise ShapeError(
-            f"transform_column_panel: panel must be (k*m) x m with k >= 2, got {a.shape}"
-        )
+    m = _panel_order(panel, row=False)
+    a = panel.array()
     # X U = T  <=>  U^T X^T = T^T, solved on transposed views
     _lower_solve(a[:m, :].T, a[m:, :].T, pivot_epsilon(a.dtype))
-    return m * m * (height - m)
+    return m * m * (a.shape[0] - m)
+
+
+def transform_column_panel_access_sets(panel: BlockView) -> tuple[AccessSet, ...]:
+    """Reads the head block, reads and writes the trailing blocks."""
+    m = _panel_order(panel, row=False)
+    (r0, r1), cols = panel.elem_ranges
+    return (AccessSet(panel.buffer.id, ((r0, r0 + m), cols), READ),
+            AccessSet(panel.buffer.id, ((r0 + m, r1), cols), READ_WRITE))
 
 
 def gemm(c: BlockView, a: BlockView, b: BlockView,
@@ -204,10 +240,16 @@ def gemm(c: BlockView, a: BlockView, b: BlockView,
         raise ShapeError(
             f"gemm: C has shape {cm.shape}, expected {(am.shape[0], bm.shape[1])}"
         )
-    if views_alias(c, a) or views_alias(c, b):
+    written, *read = gemm_access_sets(c, a, b, alpha, beta, gamma)
+    if any(written.conflict(s) is not None for s in read):
         raise AliasingError("gemm: C overlaps an input operand")
     cm[...] = alpha * cm + beta * (am @ (gamma * bm))
     return 2 * am.shape[0] * am.shape[1] * bm.shape[1]
+
+
+def gemm_access_sets(c: BlockView, a: BlockView, b: BlockView,
+                     alpha: float, beta: float, gamma: float) -> tuple[AccessSet, ...]:
+    return (access_set(c, READ_WRITE), access_set(a, READ), access_set(b, READ))
 
 
 def _squeeze_to(arr: np.ndarray, rank: int, what: str) -> np.ndarray:
@@ -285,6 +327,17 @@ def convolution(x: BlockView, y: BlockView, w: BlockView,
     return flops
 
 
+def convolution_access_sets(x: BlockView, y: BlockView, w: BlockView,
+                            read_input_from_buffer: bool, store_output_to_buffer: bool,
+                            with_relu: bool, is_fc_layer: bool,
+                            fb: FeatureBuffer) -> tuple[AccessSet, ...]:
+    """The input, the weights and the output; a view that a flag routes
+    through the feature buffer is not touched, so it has no access set."""
+    return (fb.access(READ) if read_input_from_buffer else access_set(x, READ),
+            access_set(w, READ),
+            fb.access(WRITE) if store_output_to_buffer else access_set(y, WRITE))
+
+
 def maxpool(y: BlockView, store_output_to_buffer: bool, fb: FeatureBuffer | None) -> int:
     """2x2 stride-2 max pooling per channel; always reads the feature buffer.
 
@@ -297,3 +350,10 @@ def maxpool(y: BlockView, store_output_to_buffer: bool, fb: FeatureBuffer | None
     pooled = arr.reshape(h // 2, 2, w // 2, 2, c).max(axis=(1, 3))
     _deliver(pooled, y, store_output_to_buffer, fb)
     return arr.size
+
+
+def maxpool_access_sets(y: BlockView, store_output_to_buffer: bool,
+                        fb: FeatureBuffer) -> tuple[AccessSet, ...]:
+    if store_output_to_buffer:
+        return (fb.access(READ_WRITE),)
+    return (fb.access(READ), access_set(y, WRITE))

@@ -17,7 +17,7 @@ from . import kernels
 from .errors import ConfigurationError, InvocationError, ParseError
 from .kernels import FeatureBuffer
 from .runtime import TaskInstance
-from .tensors import READ, READ_WRITE, WRITE, AccessSet, BlockView, access_set
+from .tensors import BlockView, read_text
 
 PARAM_KINDS = ("view", "scalar", "flag")
 
@@ -125,15 +125,17 @@ class Overlay:
                 raise InvocationError(
                     f"{iface.ip.name}: parameter {pos} must be a scalar, got {param!r}"
                 )
-        task = TaskInstance(
+        # derived before the id is drawn: a call the kernel would reject
+        # (a malformed panel raises ShapeError here) uses up no task id
+        access_sets = tuple(iface.ip.access_sets(params, self.feature_buffer))
+        return TaskInstance(
             id=next(self._task_ids),
             kind=kind if kind is not None else iface.ip.name,
             queue_no=queue_no,
             iteration=iteration,
             args=params,
-            access_sets=tuple(iface.ip.access_sets(params, self.feature_buffer)),
+            access_sets=access_sets,
         )
-        return task
 
     def manifest(self) -> dict:
         return {
@@ -157,8 +159,7 @@ def load_overlay(path) -> Overlay:
     same queue map and a fresh task numbering.
     """
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON") from exc
     if (not isinstance(doc, dict) or not isinstance(doc.get("name"), str)
@@ -190,104 +191,35 @@ def load_overlay(path) -> Overlay:
 
 # --- kernel bindings --------------------------------------------------------
 #
-# Each run binding unpacks a task's arguments, unsliced, into its kernel (the
-# CNN kernels also get the feature buffer); the kernel returns its own flop
-# estimate for virtual trace time.  Access-set
-# derivations mirror exactly what the kernel touches; dummy view arguments
-# are skipped whenever a flag routes that side through the feature buffer.
-
-def _fb_access(fb: FeatureBuffer, mode: str) -> AccessSet:
-    # the slot is modeled as a one-cell resource: any two uses with a write conflict
-    return AccessSet(fb.resource_id, ((0, 1),), mode)
-
-
-def _access_lu(args, fb):
-    (block,) = args
-    return (access_set(block, READ_WRITE),)
-
-
-def _split_row_panel(panel: BlockView):
-    (r0, r1), (c0, c1) = panel.elem_ranges
-    m = r1 - r0
-    head = ((r0, r1), (c0, c0 + m))
-    tail = ((r0, r1), (c0 + m, c1))
-    return head, tail
-
-
-def _access_row_panel(args, fb):
-    (panel,) = args
-    head, tail = _split_row_panel(panel)
-    return (
-        AccessSet(panel.buffer.id, head, READ),
-        AccessSet(panel.buffer.id, tail, READ_WRITE),
-    )
-
-
-def _split_column_panel(panel: BlockView):
-    (r0, r1), (c0, c1) = panel.elem_ranges
-    m = c1 - c0
-    head = ((r0, r0 + m), (c0, c1))
-    tail = ((r0 + m, r1), (c0, c1))
-    return head, tail
-
-
-def _access_column_panel(args, fb):
-    (panel,) = args
-    head, tail = _split_column_panel(panel)
-    return (
-        AccessSet(panel.buffer.id, head, READ),
-        AccessSet(panel.buffer.id, tail, READ_WRITE),
-    )
-
-
-def _access_gemm(args, fb):
-    c, a, b, _alpha, _beta, _gamma = args
-    return (
-        access_set(c, READ_WRITE),
-        access_set(a, READ),
-        access_set(b, READ),
-    )
-
-
-def _access_convolution(args, fb):
-    x, y, w, read_fb, store_fb, _with_relu, _is_fc = args
-    sets = []
-    if read_fb:
-        sets.append(_fb_access(fb, READ))
-    else:
-        sets.append(access_set(x, READ))
-    sets.append(access_set(w, READ))
-    if store_fb:
-        sets.append(_fb_access(fb, WRITE))
-    else:
-        sets.append(access_set(y, WRITE))
-    return tuple(sets)
-
-
-def _access_maxpool(args, fb):
-    y, store_fb = args
-    if store_fb:
-        return (_fb_access(fb, READ_WRITE),)
-    return (_fb_access(fb, READ), access_set(y, WRITE))
-
+# Each binding unpacks a task's arguments, unsliced, into a function of
+# kernels.py (the CNN kernels also get the feature buffer): run into the
+# kernel, which returns its own flop estimate for virtual trace time, and
+# access_sets into the kernel's X_access_sets, which derives the element
+# ranges the kernel touches.
 
 IP_REGISTRY: dict[str, IpDescriptor] = {
     "LU": IpDescriptor(
-        "LU", ("view",), lambda args, fb: kernels.lu_factor_block(*args), _access_lu),
+        "LU", ("view",), lambda args, fb: kernels.lu_factor_block(*args),
+        lambda args, fb: kernels.lu_factor_block_access_sets(*args)),
     "TransformRowPanel": IpDescriptor(
         "TransformRowPanel", ("view",),
-        lambda args, fb: kernels.transform_row_panel(*args), _access_row_panel),
+        lambda args, fb: kernels.transform_row_panel(*args),
+        lambda args, fb: kernels.transform_row_panel_access_sets(*args)),
     "TransformColumnPanel": IpDescriptor(
         "TransformColumnPanel", ("view",),
-        lambda args, fb: kernels.transform_column_panel(*args), _access_column_panel),
+        lambda args, fb: kernels.transform_column_panel(*args),
+        lambda args, fb: kernels.transform_column_panel_access_sets(*args)),
     "GEMM": IpDescriptor(
         "GEMM", ("view", "view", "view", "scalar", "scalar", "scalar"),
-        lambda args, fb: kernels.gemm(*args), _access_gemm),
+        lambda args, fb: kernels.gemm(*args),
+        lambda args, fb: kernels.gemm_access_sets(*args)),
     "Convolution": IpDescriptor(
         "Convolution", ("view", "view", "view", "flag", "flag", "flag", "flag"),
         lambda args, fb: kernels.convolution(*args, fb),
-        _access_convolution, uses_feature_buffer=True),
+        lambda args, fb: kernels.convolution_access_sets(*args, fb),
+        uses_feature_buffer=True),
     "Maxpool": IpDescriptor(
         "Maxpool", ("view", "flag"), lambda args, fb: kernels.maxpool(*args, fb),
-        _access_maxpool, uses_feature_buffer=True),
+        lambda args, fb: kernels.maxpool_access_sets(*args, fb),
+        uses_feature_buffer=True),
 }

@@ -29,7 +29,7 @@ from .errors import (
     RuleError,
     TaskExecutionError,
 )
-from .tensors import AccessSet
+from .tensors import AccessSet, read_text
 
 VIRTUAL_TIME_DIVISOR = 1_000_000  # duration = max(1, flop estimate // divisor)
 
@@ -368,8 +368,7 @@ def emit_trace(trace: ExecutionTrace, path) -> None:
 
 
 def parse_trace(path) -> ExecutionTrace:
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if not lines:
         return ExecutionTrace()
     records: list[TraceRecord] = []

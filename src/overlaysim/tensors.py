@@ -175,12 +175,6 @@ def ranges_intersection(a, b):
     return tuple(out)
 
 
-def views_alias(a: BlockView, b: BlockView) -> bool:
-    """True when two views can touch the same element."""
-    return (a.buffer.id == b.buffer.id
-            and ranges_intersection(a.elem_ranges, b.elem_ranges) is not None)
-
-
 @dataclass(frozen=True)
 class AccessSet:
     """The element ranges one task touches in one buffer, tagged read/write."""
@@ -210,6 +204,15 @@ def access_set(view: BlockView, mode: str) -> AccessSet:
     return AccessSet(view.buffer.id, view.elem_ranges, mode)
 
 
+def read_text(path) -> str:
+    """A whole file as UTF-8 text; undecodable bytes raise ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text") from exc
+
+
 # --- tensor-text v1 -------------------------------------------------------
 #
 # Line 1:  dims d e1 e2 ... ed
@@ -227,8 +230,7 @@ def write_tensor_text(buf: TensorBuffer, path) -> None:
 
 
 def read_tensor_text(path, dtype=DEFAULT_DTYPE) -> TensorBuffer:
-    with open(path) as fh:
-        tokens = fh.read().split()
+    tokens = read_text(path).split()
     if not tokens or tokens[0] != "dims":
         raise ParseError(f"{path}: expected leading 'dims' header")
     try:

@@ -206,3 +206,43 @@ class TestInspect:
         empty.write_text("")
         assert run_cli("inspect-trace", str(empty)) == 0
         assert "empty trace" in capsys.readouterr().out
+
+    def test_edges_without_records_fail_validation(self, tmp_path, capsys):
+        trace = tmp_path / "edges.trace"
+        trace.write_text('{"edges": [[0, 1]]}\n')
+        assert run_cli("inspect-trace", str(trace)) == 1
+        out = capsys.readouterr().out
+        assert "empty trace" not in out
+        assert "validation FAILED" in out
+        assert "edge (0, 1) references an unknown task" in out
+
+
+LU_2x2 = ["run", "lu", "--n", "2", "--m", "2"]
+
+
+class TestFileErrors:
+    """A file the CLI cannot open, create or decode ends the run with one
+    error line naming it, and exit 1."""
+
+    @pytest.mark.parametrize("argv", [
+        LU_2x2 + ["--overlay", "{missing}"],
+        ["run", "lu", "--m", "2", "--input", "{missing}"],
+        ["inspect-trace", "{missing}"],
+        LU_2x2 + ["--dump", "{missing}/result.txt"],
+        LU_2x2 + ["--trace", "{missing}/run.trace"],
+        LU_2x2 + ["--overlay", "{undecodable}"],
+        ["run", "lu", "--m", "2", "--input", "{undecodable}"],
+        ["inspect-trace", "{undecodable}"],
+    ], ids=["missing-overlay", "missing-input", "missing-trace", "dump-into-missing-dir",
+            "trace-into-missing-dir", "undecodable-overlay", "undecodable-input",
+            "undecodable-trace"])
+    def test_one_error_line(self, tmp_path, capsys, argv):
+        undecodable = tmp_path / "undecodable"
+        undecodable.write_bytes(b"dims 2 2 2\n1.0 2.0\n3.0 \xff\n")  # 0xff is never UTF-8
+        paths = {"missing": tmp_path / "missing", "undecodable": undecodable}
+        assert run_cli(*(arg.format(**paths) for arg in argv)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert str(tmp_path) in err
+        assert "Traceback" not in err

@@ -27,7 +27,7 @@ from overlaysim.apps import (
     vgg_overlay,
 )
 from overlaysim.runtime import build_task_graph
-from overlaysim.tensors import new_buffer, bcropped
+from overlaysim.tensors import BlockView, new_buffer, bcropped
 
 from helpers import reference_flops
 
@@ -217,18 +217,68 @@ class TestEnqueue:
         """The graph chains each queue's tasks in exactly the order they were
         enqueued, which is the order the scheduler drains them in."""
         ov = lu_overlay()
-        v = new_buffer([2, 2], fill=1.0).view()
-        gemm_args = [bcropped(new_buffer([4, 4]), 2, 1, 1, 1, 1),
-                     bcropped(new_buffer([4, 4]), 2, 1, 1, 0, 0),
-                     bcropped(new_buffer([4, 4]), 2, 0, 0, 1, 1), 1.0, 1.0, 1.0]
+        # a 2x2 block for the factor, a 2x4 row and a 4x2 column panel
+        args_by_queue = {
+            0: [new_buffer([2, 2], fill=1.0).view()],
+            1: [new_buffer([2, 4], fill=1.0).view()],
+            2: [new_buffer([4, 2], fill=1.0).view()],
+            3: [bcropped(new_buffer([4, 4]), 2, 1, 1, 1, 1),
+                bcropped(new_buffer([4, 4]), 2, 1, 1, 0, 0),
+                bcropped(new_buffer([4, 4]), 2, 0, 0, 1, 1), 1.0, 1.0, 1.0],
+        }
         enqueued = {q: [] for q in range(4)}
         tasks = []
         for i, q in enumerate(queue_sequence):
-            args = gemm_args if q == 3 else [v]
-            tasks.append(ov.enqueue(q, args, i))
+            tasks.append(ov.enqueue(q, args_by_queue[q], i))
             enqueued[q].append(tasks[-1].id)
         chained = sorted((a, b) for ids in enqueued.values() for a, b in zip(ids, ids[1:]))
         assert build_task_graph(tasks, []).edge_pairs() == chained
+
+
+@pytest.mark.parametrize("queue, shape", [
+    (1, (4, 2)), (1, (4, 4)), (1, (4, 6)),
+    (2, (2, 4)), (2, (4, 4)), (2, (6, 4)),
+], ids=["row-4x2", "row-4x4", "row-4x6", "col-2x4", "col-4x4", "col-6x4"])
+def test_malformed_panel_rejected_at_enqueue(queue, shape):
+    """A panel that is not m x (k*m) (row, queue 1) or (k*m) x m (column,
+    queue 2) with k >= 2 fails at enqueue, as its kernel would, and the
+    rejected call uses up no task id."""
+    ov = lu_overlay()
+    block = new_buffer([2, 2], fill=1.0).view()
+    assert ov.enqueue(0, [block], 0).id == 0
+    with pytest.raises(errors.ShapeError):
+        ov.enqueue(queue, [new_buffer(list(shape), fill=1.0).view()], 0)
+    assert ov.enqueue(0, [block], 1).id == 1
+
+
+def buffer_shapes(overlay, tasks):
+    """Buffer id -> shape for every buffer a task's views reach, plus the
+    feature buffer's one-cell slot."""
+    shapes = {arg.buffer.id: arg.buffer.shape
+              for task in tasks for arg in task.args if isinstance(arg, BlockView)}
+    if overlay.feature_buffer is not None:
+        shapes[overlay.feature_buffer.resource_id] = (1,)
+    return shapes
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lu_graph(3, 2),
+    lambda: lu_graph(2, 64),
+    lambda: lu_graph(5, 33),
+    lambda: vgg_graph(tiny_config(2)),
+    lambda: vgg_graph(small_config(1)),
+], ids=["lu-3-2", "lu-2-64", "lu-5-33", "vgg-tiny-2", "vgg-small-1"])
+def test_access_sets_lie_inside_their_buffers(build):
+    """Every generated access set names a known buffer and covers a
+    non-empty range inside it on every axis."""
+    overlay, graph = build()
+    shapes = buffer_shapes(overlay, graph.tasks)
+    for task in graph.tasks:
+        for acc in task.access_sets:
+            shape = shapes[acc.buffer_id]
+            assert len(acc.ranges) == len(shape), (task.id, acc)
+            for (lo, hi), extent in zip(acc.ranges, shape):
+                assert 0 <= lo < hi <= extent, (task.id, task.kind, acc)
 
 
 def test_feature_buffer_access_sets_ignore_dummies():
