@@ -20,8 +20,9 @@ the operand shapes it has checked; the runtime turns that count into the
 task's virtual duration.
 
 Below each kernel, X_access_sets takes its arguments and returns the element
-ranges it reads and writes.  A panel kernel and its access sets share one
-shape check, so a panel the kernel would reject has no footprint either.
+ranges it reads and writes.  Each dense kernel and its access sets share one
+shape check, so operands the kernel would reject have no footprint either,
+and the overlay rejects them at enqueue.
 """
 
 from __future__ import annotations
@@ -86,11 +87,11 @@ def _stored_map(fb: FeatureBuffer | None, what: str) -> np.ndarray:
     return fb.slot
 
 
-def _matrix(view: BlockView, what: str) -> np.ndarray:
-    arr = view.array()
-    if arr.ndim != 2:
-        raise ShapeError(f"{what}: expected a rank-2 view, got shape {arr.shape}")
-    return arr
+def _rank2(view: BlockView, what: str) -> tuple[int, int]:
+    shape = view.shape
+    if len(shape) != 2:
+        raise ShapeError(f"{what}: expected a rank-2 view, got shape {shape}")
+    return shape
 
 
 def _lower_solve(lower: np.ndarray, x: np.ndarray, eps: float | None = None,
@@ -152,14 +153,22 @@ def lu_factor_block(block: BlockView) -> int:
     diagonal is implicit); the upper triangle including the diagonal holds U.
     No pivoting: a near-zero pivot raises instead, with its index in the block.
     """
-    a = _matrix(block, "lu_factor_block")
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"lu_factor_block: block must be square, got {a.shape}")
+    m = _block_order(block)
+    a = block.array()
     _lu_factor(a, pivot_epsilon(a.dtype), 0)
-    return (2 * a.shape[0] ** 3) // 3
+    return (2 * m ** 3) // 3
+
+
+def _block_order(block: BlockView) -> int:
+    """The order m of a square m x m block; any other shape raises ShapeError."""
+    rows, cols = _rank2(block, "lu_factor_block")
+    if rows != cols:
+        raise ShapeError(f"lu_factor_block: block must be square, got {block.shape}")
+    return rows
 
 
 def lu_factor_block_access_sets(block: BlockView) -> tuple[AccessSet, ...]:
+    _block_order(block)
     return (access_set(block, READ_WRITE),)
 
 
@@ -167,9 +176,7 @@ def _panel_order(panel: BlockView, row: bool) -> int:
     """The order m of the head block of an m x (k*m) row panel or a (k*m) x m
     column panel, k >= 2; any other shape raises ShapeError."""
     what = "transform_row_panel" if row else "transform_column_panel"
-    shape = panel.shape
-    if len(shape) != 2:
-        raise ShapeError(f"{what}: expected a rank-2 view, got shape {shape}")
+    shape = _rank2(panel, what)
     m, length = shape if row else shape[::-1]
     if length <= m or length % m:
         form = "m x (k*m)" if row else "(k*m) x m"
@@ -231,24 +238,24 @@ def gemm(c: BlockView, a: BlockView, b: BlockView,
     for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
         if not math.isfinite(value):
             raise ValueError(f"coefficient {name} must be finite")
-    cm = _matrix(c, "gemm C")
-    am = _matrix(a, "gemm A")
-    bm = _matrix(b, "gemm B")
-    if am.shape[1] != bm.shape[0]:
-        raise ShapeError(f"gemm: inner dimensions {am.shape} x {bm.shape} disagree")
-    if cm.shape != (am.shape[0], bm.shape[1]):
-        raise ShapeError(
-            f"gemm: C has shape {cm.shape}, expected {(am.shape[0], bm.shape[1])}"
-        )
+    # the access sets check the operand shapes first
     written, *read = gemm_access_sets(c, a, b, alpha, beta, gamma)
     if any(written.conflict(s) is not None for s in read):
         raise AliasingError("gemm: C overlaps an input operand")
+    cm, am, bm = c.array(), a.array(), b.array()
     cm[...] = alpha * cm + beta * (am @ (gamma * bm))
     return 2 * am.shape[0] * am.shape[1] * bm.shape[1]
 
 
 def gemm_access_sets(c: BlockView, a: BlockView, b: BlockView,
                      alpha: float, beta: float, gamma: float) -> tuple[AccessSet, ...]:
+    """C (m x n) is read and written, A (m x k) and B (k x n) are read; any
+    other shapes raise ShapeError."""
+    cs, (m, k), (kb, n) = _rank2(c, "gemm C"), _rank2(a, "gemm A"), _rank2(b, "gemm B")
+    if k != kb:
+        raise ShapeError(f"gemm: inner dimensions {a.shape} x {b.shape} disagree")
+    if cs != (m, n):
+        raise ShapeError(f"gemm: C has shape {cs}, expected {(m, n)}")
     return (access_set(c, READ_WRITE), access_set(a, READ), access_set(b, READ))
 
 
@@ -262,7 +269,21 @@ def _squeeze_to(arr: np.ndarray, rank: int, what: str) -> np.ndarray:
 
 
 def _conv2d_same(arr: np.ndarray, wt: np.ndarray) -> np.ndarray:
-    """Stride-1 cross-correlation with zero padding that preserves H x W."""
+    """Stride-1 cross-correlation with zero padding that preserves H x W.
+
+    One matmul per tap, accumulated into out in tap order.  On the small
+    maps of the VGG pipeline the cost is per call, not per flop, so each tap
+    is a plain `@` on a window of the padded map: np.tensordot would reshape
+    and copy every window in Python first.  im2col (one matmul over all
+    taps) was not taken: it sums in BLAS order, so its bits differ, and its
+    column temporary raises the process's peak memory.
+
+    The bits match the np.tensordot tap loop on every shipped VGG preset, but
+    not on every shape: the matmul may sum a tap's channels in another order,
+    which changed the last bits of some maps with two or more input
+    channels, most often at f32 (at most 2e-7 relative) and at f64 with
+    eight channels.
+    """
     h, w, cin = arr.shape
     kh, kw, wcin, cout = wt.shape
     if wcin != cin:
@@ -273,7 +294,7 @@ def _conv2d_same(arr: np.ndarray, wt: np.ndarray) -> np.ndarray:
     out = np.zeros((h, w, cout), dtype=padded.dtype)
     for u in range(kh):
         for v in range(kw):
-            out += np.tensordot(padded[u:u + h, v:v + w, :], wt[u, v], axes=([2], [0]))
+            out += padded[u:u + h, v:v + w, :] @ wt[u, v]
     return out
 
 
@@ -341,13 +362,22 @@ def convolution_access_sets(x: BlockView, y: BlockView, w: BlockView,
 def maxpool(y: BlockView, store_output_to_buffer: bool, fb: FeatureBuffer | None) -> int:
     """2x2 stride-2 max pooling per channel; always reads the feature buffer.
 
-    Returns one flop per element of the map read.
+    The pool is three elementwise maxima over the four strided corners of the
+    windows, which costs less per call than an axis reduction over a
+    reshaped map.  np.maximum returns its second argument on ties and its
+    first NaN, so each window yields the last of its tied maxima (or its
+    first NaN) in row-major order, as max over the window axes does: the
+    bytes are the same, signed zeros and the default NaN included.  Only a
+    NaN with another sign bit or payload can differ: the axis reduction may
+    return the default NaN for it, where the maxima keep it.  Returns one
+    flop per element of the map read.
     """
     arr = _squeeze_to(_stored_map(fb, "maxpool"), 3, "maxpool input")
     h, w, c = arr.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool: spatial extents must be even, got {arr.shape}")
-    pooled = arr.reshape(h // 2, 2, w // 2, 2, c).max(axis=(1, 3))
+    pooled = np.maximum(np.maximum(arr[0::2, 0::2], arr[0::2, 1::2]),
+                        np.maximum(arr[1::2, 0::2], arr[1::2, 1::2]))
     _deliver(pooled, y, store_output_to_buffer, fb)
     return arr.size
 

@@ -3,9 +3,10 @@
 These reimplement checks at element granularity, independently of the
 library's interval-based machinery, so the two can be compared.  The
 quadratic conflict checker, the queue-scanning virtual replay, the
-thread-pool executor, the row/column loops of the LU kernels and the flop
-formulas of the overlay's old run adapters, all once used by the library,
-are kept here as the references for their replacements.
+thread-pool executor, the row/column loops of the LU kernels, the flop
+formulas of the overlay's old run adapters, and the tensordot convolution and
+axis-reduce pool of the CNN kernels, all once used by the library, are kept
+here as the references for their replacements.
 """
 
 import heapq
@@ -14,7 +15,7 @@ from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
 import numpy as np
 
-from overlaysim.errors import OverlayError, SingularPivotError, TaskExecutionError
+from overlaysim.errors import OverlayError, ShapeError, SingularPivotError, TaskExecutionError
 from overlaysim.kernels import pivot_epsilon
 from overlaysim.overlay import IpDescriptor, Overlay, command
 from overlaysim.runtime import VIRTUAL_TIME_DIVISOR, Conflict, TraceRecord, _Frontier
@@ -230,6 +231,28 @@ def reference_transform_column_panel(a):
         if c:
             trailing[:, c] -= trailing[:, :c] @ upper[:c, c]
         trailing[:, c] /= diag
+
+
+def reference_conv2d_same(arr, wt):
+    """The np.tensordot tap loop kernels._conv2d_same once ran."""
+    h, w, cin = arr.shape
+    kh, kw, wcin, cout = wt.shape
+    if wcin != cin:
+        raise ShapeError(f"convolution: input has {cin} channels, weights expect {wcin}")
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    padded = np.zeros((h + kh - 1, w + kw - 1, cin), dtype=np.result_type(arr, wt))
+    padded[ph:ph + h, pw:pw + w, :] = arr
+    out = np.zeros((h, w, cout), dtype=padded.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            out += np.tensordot(padded[u:u + h, v:v + w, :], wt[u, v], axes=([2], [0]))
+    return out
+
+
+def reference_maxpool(arr):
+    """The reshape-and-reduce 2x2 pool kernels.maxpool once ran on an H x W x C map."""
+    h, w, c = arr.shape
+    return arr.reshape(h // 2, 2, w // 2, 2, c).max(axis=(1, 3))
 
 
 def reference_flops(ip_name, args, fb):

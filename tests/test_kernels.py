@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    reference_conv2d_same,
     reference_lu_factor_block,
+    reference_maxpool,
     reference_transform_column_panel,
     reference_transform_row_panel,
 )
@@ -21,7 +23,7 @@ from overlaysim.kernels import (
     transform_row_panel,
 )
 from overlaysim.oracles import conv2d_naive, maxpool2x2_naive, fc_naive, unpack_lu
-from overlaysim.tensors import BlockView, TensorBuffer, bcropped
+from overlaysim.tensors import BlockView, TensorBuffer, bcropped, cropped
 
 
 def buffer_of(values):
@@ -448,6 +450,28 @@ class TestConvolution:
         convolution(once, twice, view_of(w_id), *flags, None)
         np.testing.assert_array_equal(once.array(), twice.array())
 
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 8), st.integers(1, 8),
+           st.sampled_from([1, 3]), st.sampled_from([np.float32, np.float64]),
+           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_tensordot_loop(self, h, w, cin, cout, k, dtype, strided, seed):
+        """Within rounding of the tensordot tap loop, on a dense input and on
+        one map of a batched input, the strided crop the first VGG layer reads."""
+        rng = np.random.default_rng(seed)
+        batch = 3 if strided else 1
+        x0 = rng.uniform(-1, 1, (h, w, cin, batch)).astype(dtype)
+        w0 = rng.uniform(-1, 1, (k, k, cin, cout)).astype(dtype)
+        y = TensorBuffer(np.zeros((h, w, cout), dtype=dtype)).view()
+        convolution(cropped(TensorBuffer(x0), 3, batch - 1, 1), y, TensorBuffer(w0).view(),
+                    *DDR_FLAGS, None)
+        want = reference_conv2d_same(x0[..., batch - 1], w0)
+        tol = 1e-12 if dtype is np.float64 else 1e-5
+        assert np.max(np.abs(y.array() - want)) <= tol * max(1.0, np.max(np.abs(want)))
+
+
+# ties, signed zeros and the default NaN, where the order of the maxima shows
+POOL_SPECIAL_VALUES = [0.0, -0.0, float("nan"), 1.0, -1.0, 2.0]
+
 
 class TestMaxpool:
     def seeded_fb(self, arr):
@@ -490,6 +514,22 @@ class TestMaxpool:
         fb = self.seeded_fb(np.zeros((3, 4, 1)))
         with pytest.raises(errors.ShapeError):
             maxpool(view_of(np.zeros((1, 2, 1))), False, fb)
+
+    @given(st.integers(1, 16), st.integers(1, 16), st.integers(1, 8),
+           st.sampled_from([np.float32, np.float64]), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_same_bytes_as_axis_reduce(self, half_h, half_w, c, dtype, seed):
+        """Byte for byte the reshape-and-reduce pool it replaced, on maps that
+        mix special values with random floats."""
+        rng = np.random.default_rng(seed)
+        shape = (2 * half_h, 2 * half_w, c)
+        special = rng.choice(np.array(POOL_SPECIAL_VALUES, dtype=dtype), shape)
+        x0 = np.where(rng.random(shape) < 0.5, special, rng.standard_normal(shape).astype(dtype))
+        fb = fresh_fb()
+        fb.store(x0)
+        maxpool(view_of(np.zeros((1,))), True, fb)
+        assert fb.slot.dtype == x0.dtype
+        assert fb.slot.tobytes() == reference_maxpool(x0).tobytes()
 
 
 class TestInPlaceContainment:

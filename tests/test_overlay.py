@@ -251,6 +251,32 @@ def test_malformed_panel_rejected_at_enqueue(queue, shape):
     assert ov.enqueue(0, [block], 1).id == 1
 
 
+def view_shaped(*shape):
+    return new_buffer(list(shape), fill=1.0).view()
+
+
+GEMM_COEFFICIENTS = [1.0, -1.0, 1.0]
+
+
+@pytest.mark.parametrize("queue, make_args", [
+    (0, lambda: [BlockView(new_buffer([4, 4], fill=1.0), ((0, 4), (0, 2)))]),
+    (0, lambda: [view_shaped(2, 2, 1)]),
+    (3, lambda: [view_shaped(2, 2), view_shaped(2, 3), view_shaped(2, 2)] + GEMM_COEFFICIENTS),
+    (3, lambda: [view_shaped(3, 2), view_shaped(2, 3), view_shaped(3, 2)] + GEMM_COEFFICIENTS),
+    (3, lambda: [view_shaped(2, 2), view_shaped(2, 2, 1), view_shaped(2, 2)] + GEMM_COEFFICIENTS),
+], ids=["lu-4x2", "lu-rank3", "gemm-inner", "gemm-result", "gemm-rank3"])
+def test_malformed_dense_operands_rejected_at_enqueue(queue, make_args):
+    """A factor block that is not square, or GEMM operands whose shapes do
+    not chain, fail at enqueue with the kernel's ShapeError, and the rejected
+    call uses up no task id."""
+    ov = lu_overlay()
+    block = view_shaped(2, 2)
+    assert ov.enqueue(0, [block], 0).id == 0
+    with pytest.raises(errors.ShapeError):
+        ov.enqueue(queue, make_args(), 0)
+    assert ov.enqueue(0, [block], 1).id == 1
+
+
 def buffer_shapes(overlay, tasks):
     """Buffer id -> shape for every buffer a task's views reach, plus the
     feature buffer's one-cell slot."""
