@@ -149,10 +149,9 @@ def vgg_rules() -> list[DependenceRule]:
 
 @dataclass
 class VggOutputs:
-    """DDR buffers the pipeline writes: pool staging, FC staging, final result."""
+    """DDR buffers the pipeline writes and callers read: pool staging, final result."""
 
     pool_out: TensorBuffer
-    fc_hidden: tuple[TensorBuffer, TensorBuffer]
     y: TensorBuffer
 
 
@@ -199,7 +198,7 @@ def vgg_generate_tasks(config: VggConfig, x: TensorBuffer, weights: VggWeights,
         for k in range(FC_LAYERS):
             args = [fc_in[k], fc_out[k], weights.fc[k].view(), False, False, True, True]
             tasks.append(overlay.enqueue(0, args, i, kind=f"fc[{k}]"))
-    return tasks, vgg_rules(), VggOutputs(pool_out, (f0, f1), y)
+    return tasks, vgg_rules(), VggOutputs(pool_out, y)
 
 
 def vgg_forward(config: VggConfig, x: TensorBuffer, weights: VggWeights,

@@ -106,7 +106,8 @@ def _prepare_lu(args, dtype):
     problem = LuProblem(buf, n, args.m)
     overlay = load_overlay(args.overlay) if args.overlay else lu_overlay()
     tasks, rules = lu_generate_tasks(problem, overlay)
-    return overlay, tasks, rules, buf, buf.data.copy()
+    original = buf.data.copy()
+    return overlay, tasks, rules, buf, lambda: oracle_lu(original)
 
 
 def _prepare_vgg(args, dtype):
@@ -118,7 +119,7 @@ def _prepare_vgg(args, dtype):
     weights = seeded_weights(config, args.seed + 1, dtype=dtype)
     overlay = load_overlay(args.overlay) if args.overlay else vgg_overlay()
     tasks, rules, outputs = vgg_generate_tasks(config, x, weights, overlay)
-    return overlay, tasks, rules, outputs.y, (config, x, weights)
+    return overlay, tasks, rules, outputs.y, lambda: oracle_cnn_forward(config, x, weights)
 
 
 def cmd_run(args) -> int:
@@ -127,10 +128,8 @@ def cmd_run(args) -> int:
         return EXIT_USAGE
 
     dtype = np.float32 if args.precision == "f32" else np.float64
-    if args.app == "lu":
-        overlay, tasks, rules, result_buf, original = _prepare_lu(args, dtype)
-    else:
-        overlay, tasks, rules, result_buf, oracle_args = _prepare_vgg(args, dtype)
+    prepare = _prepare_lu if args.app == "lu" else _prepare_vgg
+    overlay, tasks, rules, result_buf, oracle = prepare(args, dtype)
 
     graph = build_task_graph(tasks, rules)
 
@@ -154,11 +153,7 @@ def cmd_run(args) -> int:
 
     if args.verify:
         tol = VERIFY_TOLERANCE[(args.app, args.precision)]
-        if args.app == "lu":
-            expected = oracle_lu(original)
-        else:
-            expected = oracle_cnn_forward(*oracle_args)
-        report = compare(expected, result_buf.data, tol)
+        report = compare(oracle(), result_buf.data, tol)
         print(f"verify {args.app}: {report}")
         if not report.passed:
             return EXIT_FAIL
@@ -190,15 +185,13 @@ def _print_summary(trace) -> None:
     print(f"{len(trace.records)} tasks, {len(trace.edges)} edges, "
           f"virtual span [{span_start}, {span_end})")
 
-    busy_by_queue: dict[int, int] = {}
-    busy_by_worker: dict[int, int] = {}
-    for r in trace.records:
-        busy_by_queue[r.queue] = busy_by_queue.get(r.queue, 0) + (r.vend - r.vstart)
-        busy_by_worker[r.worker] = busy_by_worker.get(r.worker, 0) + (r.vend - r.vstart)
-    for q in sorted(busy_by_queue):
-        print(f"  queue {q}: busy {busy_by_queue[q]} ({100.0 * busy_by_queue[q] / span:.1f}% of span)")
-    for w in sorted(busy_by_worker):
-        print(f"  worker {w}: busy {busy_by_worker[w]} ({100.0 * busy_by_worker[w] / span:.1f}% of span)")
+    for unit in ("queue", "worker"):
+        busy: dict[int, int] = {}
+        for r in trace.records:
+            key = getattr(r, unit)
+            busy[key] = busy.get(key, 0) + (r.vend - r.vstart)
+        for k in sorted(busy):
+            print(f"  {unit} {k}: busy {busy[k]} ({100.0 * busy[k] / span:.1f}% of span)")
 
     # longest duration-weighted path over the recorded edges
     duration = {r.id: r.vend - r.vstart for r in trace.records}

@@ -232,16 +232,13 @@ def gemm(c: BlockView, a: BlockView, b: BlockView,
     """C = alpha*C + beta*A*(gamma*B), in place on C; returns 2 m k n flops.
 
     The coefficients must be finite; they are checked before any operand is
-    read.  C must not share elements with A or B: the product is accumulated
-    into C's storage directly.
+    read.  C must not share elements with A or B, as the product is accumulated
+    into C's storage directly; gemm_access_sets checks that and the shapes.
     """
     for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
         if not math.isfinite(value):
             raise ValueError(f"coefficient {name} must be finite")
-    # the access sets check the operand shapes first
-    written, *read = gemm_access_sets(c, a, b, alpha, beta, gamma)
-    if any(written.conflict(s) is not None for s in read):
-        raise AliasingError("gemm: C overlaps an input operand")
+    gemm_access_sets(c, a, b, alpha, beta, gamma)
     cm, am, bm = c.array(), a.array(), b.array()
     cm[...] = alpha * cm + beta * (am @ (gamma * bm))
     return 2 * am.shape[0] * am.shape[1] * bm.shape[1]
@@ -250,13 +247,17 @@ def gemm(c: BlockView, a: BlockView, b: BlockView,
 def gemm_access_sets(c: BlockView, a: BlockView, b: BlockView,
                      alpha: float, beta: float, gamma: float) -> tuple[AccessSet, ...]:
     """C (m x n) is read and written, A (m x k) and B (k x n) are read; any
-    other shapes raise ShapeError."""
+    other shapes raise ShapeError, and a C sharing elements with A or B
+    raises AliasingError."""
     cs, (m, k), (kb, n) = _rank2(c, "gemm C"), _rank2(a, "gemm A"), _rank2(b, "gemm B")
     if k != kb:
         raise ShapeError(f"gemm: inner dimensions {a.shape} x {b.shape} disagree")
     if cs != (m, n):
         raise ShapeError(f"gemm: C has shape {cs}, expected {(m, n)}")
-    return (access_set(c, READ_WRITE), access_set(a, READ), access_set(b, READ))
+    written, *read = sets = (access_set(c, READ_WRITE), access_set(a, READ), access_set(b, READ))
+    if any(written.conflict(s) is not None for s in read):
+        raise AliasingError("gemm: C overlaps an input operand")
+    return sets
 
 
 def _squeeze_to(arr: np.ndarray, rank: int, what: str) -> np.ndarray:

@@ -102,7 +102,8 @@ class Overlay:
 
         Nothing executes here: the task graph and scheduler decide ordering
         later.  Parameters are checked against the interface signature now so
-        a bad call fails at enqueue time.
+        a bad call fails at enqueue time, and the iteration and kind must be
+        an int and a string, the types a trace file carries.
         """
         iface = self.interface(queue_no)
         params = tuple(params)
@@ -125,6 +126,10 @@ class Overlay:
                 raise InvocationError(
                     f"{iface.ip.name}: parameter {pos} must be a scalar, got {param!r}"
                 )
+        if type(iteration) is not int:
+            raise InvocationError(f"{iface.ip.name}: iteration must be an int, got {iteration!r}")
+        if kind is not None and not isinstance(kind, str):
+            raise InvocationError(f"{iface.ip.name}: kind must be a string, got {kind!r}")
         # derived before the id is drawn: a call the kernel would reject
         # (a malformed panel raises ShapeError here) uses up no task id
         access_sets = tuple(iface.ip.access_sets(params, self.feature_buffer))

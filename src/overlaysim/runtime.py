@@ -60,9 +60,6 @@ class IterCondition:
     def holds(self, i: int) -> bool:
         return i > self.bound if self.op == ">" else i == self.bound
 
-    def __str__(self):
-        return f"i {self.op} {self.bound}"
-
 
 @dataclass(frozen=True)
 class DependenceRule:
@@ -182,15 +179,7 @@ def build_task_graph(tasks, rules) -> TaskGraph:
     for t in tasks:
         by_slot.setdefault((t.kind, t.iteration), []).append(t)
 
-    edges: list[GraphEdge] = []
-    seen_edges: set[tuple[int, int, str]] = set()
-
-    def add(pre: int, dep: int, provenance: str) -> None:
-        key = (pre, dep, provenance)
-        if key not in seen_edges:
-            seen_edges.add(key)
-            edges.append(GraphEdge(pre, dep, provenance))
-
+    edges: dict[tuple[int, int, str], None] = {}
     for t in tasks:
         for rule in rules:
             if rule.dependent_kind != t.kind:
@@ -200,16 +189,16 @@ def build_task_graph(tasks, rules) -> TaskGraph:
             for pre in by_slot.get((rule.prerequisite_kind, t.iteration - rule.distance), []):
                 if pre.id == t.id:
                     raise CyclicDependenceError([t.id, t.id])
-                add(pre.id, t.id, "rule")
+                edges[pre.id, t.id, "rule"] = None
 
     by_queue: dict[int, list[TaskInstance]] = {}
     for t in sorted(tasks, key=lambda t: t.id):
         by_queue.setdefault(t.queue_no, []).append(t)
     for fifo in by_queue.values():
         for earlier, later in zip(fifo, fifo[1:]):
-            add(earlier.id, later.id, "queue-order")
+            edges[earlier.id, later.id, "queue-order"] = None
 
-    return TaskGraph(tasks, edges)
+    return TaskGraph(tasks, [GraphEdge(*key) for key in edges])
 
 
 @dataclass(frozen=True)
@@ -233,18 +222,12 @@ def check_dependence_sufficiency(graph: TaskGraph) -> list[Conflict]:
 
     An empty report means the declared dependences (plus queue order) are
     sufficient to make the shared-buffer accesses race-free.  The closure is
-    one ancestor and one descendant bitset per task, bit i standing for the
-    task of i-th smallest id; only the pairs it leaves unordered have their
-    access sets compared.  Pairs come out in ascending id order.
+    one descendant bitset per task, bit i standing for the task of i-th
+    smallest id: two tasks are unordered when neither holds the other's bit.
+    Only those pairs have their access sets compared, in ascending id order.
     """
     order = sorted(graph.tasks, key=lambda t: t.id)
     bit = {t.id: 1 << i for i, t in enumerate(order)}
-    anc: dict[int, int] = {}
-    for tid in graph.topo_order:
-        bits = 0
-        for p in graph.preds[tid]:
-            bits |= anc[p] | bit[p]
-        anc[tid] = bits
     desc: dict[int, int] = {}
     for tid in reversed(graph.topo_order):
         bits = 0
@@ -256,11 +239,13 @@ def check_dependence_sufficiency(graph: TaskGraph) -> list[Conflict]:
     conflicts: list[Conflict] = []
     for i, t1 in enumerate(order):
         later = everyone >> (i + 1) << (i + 1)
-        unordered = later & ~(anc[t1.id] | desc[t1.id])
+        unordered = later & ~desc[t1.id]
         while unordered:
             low = unordered & -unordered
             unordered ^= low
             t2 = order[low.bit_length() - 1]
+            if desc[t2.id] & bit[t1.id]:
+                continue
             seen = set()
             for s1 in t1.access_sets:
                 for s2 in t2.access_sets:
@@ -350,16 +335,12 @@ def run(overlay, graph: TaskGraph, worker_count: int = 1,
 # One JSON object per task, in virtual-start order, then one closing object
 # holding the edge list.  An empty trace is an empty file.
 
+# TraceRecord's fields as the file spells them, in declaration order (vars order)
 _RECORD_KEYS = ("id", "kind", "iter", "queue", "vstart", "vend", "worker")
 
 
 def emit_trace(trace: ExecutionTrace, path) -> None:
-    lines = []
-    for r in trace.records:
-        lines.append(json.dumps({
-            "id": r.id, "kind": r.kind, "iter": r.iteration, "queue": r.queue,
-            "vstart": r.vstart, "vend": r.vend, "worker": r.worker,
-        }))
+    lines = [json.dumps(dict(zip(_RECORD_KEYS, vars(r).values()))) for r in trace.records]
     if trace.records or trace.edges:
         lines.append(json.dumps({"edges": [list(e) for e in sorted(trace.edges)]}))
     with open(path, "w") as fh:
@@ -398,8 +379,7 @@ def parse_trace(path) -> ExecutionTrace:
         if not isinstance(obj["kind"], str) or not all(
                 type(obj[k]) is int for k in _RECORD_KEYS if k != "kind"):
             raise ParseError(f"{path}:{lineno}: record field types do not match schema")
-        records.append(TraceRecord(obj["id"], obj["kind"], obj["iter"], obj["queue"],
-                                   obj["vstart"], obj["vend"], obj["worker"]))
+        records.append(TraceRecord(*(obj[k] for k in _RECORD_KEYS)))
     if records and not saw_edges:
         raise ParseError(f"{path}: missing closing edges line")
     return ExecutionTrace(records=records, edges=edges)
@@ -415,29 +395,25 @@ def validate_trace(trace: ExecutionTrace) -> list[str]:
         by_id[r.id] = r
         if r.vend < r.vstart:
             problems.append(f"task {r.id}: vend {r.vend} before vstart {r.vstart}")
+        elif r.vend == r.vstart:
+            problems.append(f"task {r.id}: zero length at vstart {r.vstart}")
     starts = [r.vstart for r in trace.records]
     if starts != sorted(starts):
         problems.append("records are not in virtual-start order")
-    by_queue: dict[int, list[TraceRecord]] = {}
-    for r in trace.records:
-        by_queue.setdefault(r.queue, []).append(r)
-    for q, recs in by_queue.items():
-        for a, b in zip(recs, recs[1:]):
-            if a.vend > b.vstart:
-                problems.append(
-                    f"queue {q}: tasks {a.id} and {b.id} overlap in virtual time")
-            if a.id > b.id:
-                problems.append(f"queue {q}: tasks {a.id} and {b.id} violate FIFO order")
-    by_worker: dict[int, list[TraceRecord]] = {}
-    for r in trace.records:
-        if r.worker < 0:
-            problems.append(f"task {r.id}: worker {r.worker} is negative")
-        by_worker.setdefault(r.worker, []).append(r)
-    for w, recs in by_worker.items():
-        for a, b in zip(recs, recs[1:]):
-            if a.vend > b.vstart:
-                problems.append(
-                    f"worker {w}: tasks {a.id} and {b.id} overlap in virtual time")
+    for unit in ("queue", "worker"):
+        groups: dict[int, list[TraceRecord]] = {}
+        for r in trace.records:
+            groups.setdefault(getattr(r, unit), []).append(r)
+        if unit == "worker":
+            problems += [f"task {r.id}: worker {r.worker} is negative"
+                         for r in trace.records if r.worker < 0]
+        for g, recs in groups.items():
+            for a, b in zip(recs, recs[1:]):
+                if a.vend > b.vstart:
+                    problems.append(
+                        f"{unit} {g}: tasks {a.id} and {b.id} overlap in virtual time")
+                if unit == "queue" and a.id > b.id:
+                    problems.append(f"queue {g}: tasks {a.id} and {b.id} violate FIFO order")
     for pre, dep in trace.edges:
         if pre not in by_id or dep not in by_id:
             problems.append(f"edge ({pre}, {dep}) references an unknown task")

@@ -153,10 +153,6 @@ def cropped(buf: TensorBuffer, axis: int, start: int, extent: int) -> BlockView:
     rank = len(buf.shape)
     if axis < 0 or axis >= rank:
         raise InvalidCropError(f"axis {axis} out of range for rank-{rank} buffer")
-    if extent < 1 or start < 0 or start + extent > buf.shape[axis]:
-        raise InvalidCropError(
-            f"axis {axis}: [{start}, {start + extent}) outside extent {buf.shape[axis]}"
-        )
     ranges = tuple(
         (start, start + extent) if a == axis else (0, e)
         for a, e in enumerate(buf.shape)

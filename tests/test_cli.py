@@ -186,6 +186,17 @@ class TestInspect:
         assert "validation FAILED" in out
         assert "worker 0: tasks 0 and 1 overlap in virtual time" in out
 
+    def test_zero_length_records_fail_validation(self, tmp_path, capsys):
+        trace = tmp_path / "t.trace"
+        trace.write_text(
+            '{"id": 0, "kind": "a", "iter": 0, "queue": 0, "vstart": 5, "vend": 5, "worker": 0}\n'
+            '{"id": 1, "kind": "b", "iter": 0, "queue": 0, "vstart": 5, "vend": 5, "worker": 0}\n'
+            '{"edges": []}\n')
+        assert run_cli("inspect-trace", str(trace)) == 1
+        out = capsys.readouterr().out
+        assert "validation FAILED (2 problem(s))" in out
+        assert "task 1: zero length at vstart 5" in out
+
     def test_boolean_fields_are_parse_failure(self, tmp_path, capsys):
         bad = tmp_path / "bool.trace"
         bad.write_text(

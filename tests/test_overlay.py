@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -258,22 +259,48 @@ def view_shaped(*shape):
 GEMM_COEFFICIENTS = [1.0, -1.0, 1.0]
 
 
-@pytest.mark.parametrize("queue, make_args", [
-    (0, lambda: [BlockView(new_buffer([4, 4], fill=1.0), ((0, 4), (0, 2)))]),
-    (0, lambda: [view_shaped(2, 2, 1)]),
-    (3, lambda: [view_shaped(2, 2), view_shaped(2, 3), view_shaped(2, 2)] + GEMM_COEFFICIENTS),
-    (3, lambda: [view_shaped(3, 2), view_shaped(2, 3), view_shaped(3, 2)] + GEMM_COEFFICIENTS),
-    (3, lambda: [view_shaped(2, 2), view_shaped(2, 2, 1), view_shaped(2, 2)] + GEMM_COEFFICIENTS),
-], ids=["lu-4x2", "lu-rank3", "gemm-inner", "gemm-result", "gemm-rank3"])
-def test_malformed_dense_operands_rejected_at_enqueue(queue, make_args):
-    """A factor block that is not square, or GEMM operands whose shapes do
-    not chain, fail at enqueue with the kernel's ShapeError, and the rejected
-    call uses up no task id."""
+def aliasing_gemm_args():
+    """C = rows [0,2) x cols [0,2) and A = rows [0,2) x cols [1,3) of one buffer."""
+    buf = new_buffer([4, 4], fill=1.0)
+    c, a = BlockView(buf, ((0, 2), (0, 2))), BlockView(buf, ((0, 2), (1, 3)))
+    return [c, a, view_shaped(2, 2)] + GEMM_COEFFICIENTS
+
+
+@pytest.mark.parametrize("queue, make_args, error", [
+    (0, lambda: [BlockView(new_buffer([4, 4], fill=1.0), ((0, 4), (0, 2)))], errors.ShapeError),
+    (0, lambda: [view_shaped(2, 2, 1)], errors.ShapeError),
+    (3, lambda: [view_shaped(2, 2), view_shaped(2, 3), view_shaped(2, 2)] + GEMM_COEFFICIENTS,
+     errors.ShapeError),
+    (3, lambda: [view_shaped(3, 2), view_shaped(2, 3), view_shaped(3, 2)] + GEMM_COEFFICIENTS,
+     errors.ShapeError),
+    (3, lambda: [view_shaped(2, 2), view_shaped(2, 2, 1), view_shaped(2, 2)] + GEMM_COEFFICIENTS,
+     errors.ShapeError),
+    (3, aliasing_gemm_args, errors.AliasingError),
+], ids=["lu-4x2", "lu-rank3", "gemm-inner", "gemm-result", "gemm-rank3", "gemm-aliasing"])
+def test_malformed_dense_operands_rejected_at_enqueue(queue, make_args, error):
+    """A factor block that is not square, GEMM operands whose shapes do not
+    chain, or a GEMM whose C overlaps A, fail at enqueue with the kernel's
+    error, and the rejected call uses up no task id."""
     ov = lu_overlay()
     block = view_shaped(2, 2)
     assert ov.enqueue(0, [block], 0).id == 0
-    with pytest.raises(errors.ShapeError):
+    with pytest.raises(error):
         ov.enqueue(queue, make_args(), 0)
+    assert ov.enqueue(0, [block], 1).id == 1
+
+
+@pytest.mark.parametrize("iteration, kind", [
+    (np.int64(0), None), (0.0, None), (True, None), (0, 7), (0, b"factor"),
+], ids=["iter-int64", "iter-float", "iter-bool", "kind-int", "kind-bytes"])
+def test_untraceable_iteration_or_kind_rejected_at_enqueue(iteration, kind):
+    """Only an int iteration and a str kind can be written to a trace and
+    parsed back; anything else fails at enqueue, naming the IP, and uses up
+    no task id."""
+    ov = lu_overlay()
+    block = view_shaped(2, 2)
+    assert ov.enqueue(0, [block], 0).id == 0
+    with pytest.raises(errors.InvocationError, match="^LU: "):
+        ov.enqueue(0, [block], iteration, kind=kind)
     assert ov.enqueue(0, [block], 1).id == 1
 
 

@@ -226,7 +226,8 @@ class TestCheckerMatchesReference:
         assert graph.edge_pairs() == [(1, 0)]
         assert check_dependence_sufficiency(graph) == reference_conflicts(graph) == []
 
-    @pytest.mark.parametrize("n,m", [(3, 2), (4, 4)])
+    # n=64: 253 tasks, and 63 to 9,828 conflicts with one rule dropped
+    @pytest.mark.parametrize("n,m", [(3, 2), (4, 4), (64, 2)])
     @pytest.mark.parametrize("drop", range(5))
     def test_lu_with_one_rule_dropped(self, n, m, drop):
         _, _, tasks, rules = lu_setup(n, m)
@@ -585,6 +586,20 @@ class TestTraceFiles:
         assert back.records == trace.records
         assert back.edges == trace.edges
 
+    @pytest.mark.parametrize("app", ["lu", "vgg"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_run_trace_round_trips(self, tmp_path, app, workers):
+        if app == "lu":
+            _, overlay, tasks, rules = lu_setup(5, 2)
+        else:
+            cfg, overlay = tiny_config(batch=2), vgg_overlay()
+            tasks, rules, _ = vgg_generate_tasks(cfg, random_input(cfg, 0),
+                                                 seeded_weights(cfg, 1), overlay)
+        trace = run(overlay, build_task_graph(tasks, rules), worker_count=workers)
+        path = tmp_path / "t.trace"
+        emit_trace(trace, path)
+        assert parse_trace(path) == trace
+
     def test_edges_respect_virtual_times(self, tmp_path):
         _, overlay, tasks, rules = lu_setup(3, 2)
         graph = build_task_graph(tasks, rules)
@@ -654,6 +669,12 @@ class TestTraceFiles:
     def test_validate_accepts_back_to_back_on_one_worker(self):
         rs = [TraceRecord(0, "k", 0, 0, 0, 5, 0), TraceRecord(1, "k", 0, 1, 5, 8, 0)]
         assert validate_trace(ExecutionTrace(rs, [])) == []
+
+    def test_validate_catches_zero_length_records(self):
+        rs = [TraceRecord(0, "k", 0, 0, 5, 5, 0), TraceRecord(1, "k", 0, 0, 5, 5, 0)]
+        problems = validate_trace(ExecutionTrace(rs, []))
+        assert problems == ["task 0: zero length at vstart 5",
+                            "task 1: zero length at vstart 5"]
 
     def test_validate_catches_negative_worker(self):
         rs = [TraceRecord(4, "k", 0, 0, 0, 1, -3)]
