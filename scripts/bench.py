@@ -1,0 +1,187 @@
+#!/usr/bin/env python3
+"""Repeat the benchmark in fresh processes and keep the spread: BENCH files.
+
+    python scripts/bench.py --tag <name> [--repeats K] [--seconds S]
+    python scripts/bench.py --compare BENCH_a.json BENCH_b.json
+
+The first form runs `perfbench/run.py --workload W --seed 1 --trace T` of
+the checkout this script sits in, K times for each workload and each trace
+mode (0: end-to-end metrics, 1: per-layer metrics), one fresh process per
+run.  Each repeat runs every workload once, so a drift in the machine's speed
+touches all workloads alike.  It writes BENCH_<name>.json beside perfbench/:
+the machine, the git commit, the command lines, the `model ...` digest lines
+of every workload, and for each workload and metric the median and
+quartiles across processes, with the values they come from.  It exits 1 if
+any process failed or reported an incorrect result.
+
+The second form prints, for each workload and metric that is not zero in
+both files, the ratio of medians (b over a) and whether the interquartile
+ranges overlap, then whether the digest lines agree.  Spread is measured across processes, not within one,
+because one process's runs share its memory layout and the machine's state
+at the time.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RUNNER = ROOT / "perfbench" / "run.py"
+WORKLOADS = ("lu_coarse", "lu_fine", "vgg_batch")
+SEED = 1
+
+
+def git_commit() -> str | None:
+    """HEAD of the checkout, with "-dirty" when tracked files differ from it."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+    head = git("rev-parse", "HEAD")
+    if head.returncode:
+        return None
+    dirty = git("status", "--porcelain", "--untracked-files=no").stdout.strip()
+    return head.stdout.strip() + ("-dirty" if dirty else "")
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def run_once(cmd: list[str], timeout: float) -> dict:
+    """One benchmark process: its exit code, final JSON line, machine and model lines."""
+    try:
+        done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        sys.stderr.write(f"timed out after {timeout:.0f} s: {' '.join(cmd)}\n")
+        return {"returncode": None, "report": {}, "machine": None, "model": []}
+    lines = done.stdout.splitlines()
+    report = {}
+    if lines and lines[-1].startswith("{"):
+        report = json.loads(lines[-1])
+    machine = next((ln[len("machine: "):] for ln in lines if ln.startswith("machine: ")), None)
+    if done.returncode or not report.get("correct"):
+        sys.stderr.write(done.stderr)
+    return {
+        "returncode": done.returncode,
+        "report": report,
+        "machine": machine,
+        "model": [ln for ln in lines if ln.startswith("model ")],
+    }
+
+
+def summary(values: list[float]) -> dict:
+    """Median and quartiles; with one value all three are that value."""
+    if len(values) == 1:
+        q1 = med = q3 = values[0]
+    else:
+        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3, "values": values}
+
+
+def bench(args) -> int:
+    started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    timeout = 10 * args.seconds + 300  # set-up probes and verification come on top
+    commands, machines = {}, set()
+    results = {w: {"runs": 0, "failed_runs": 0, "model": set(), "metrics": {}}
+               for w in WORKLOADS}
+    for rep in range(args.repeats):
+        for trace in (0, 1):
+            for w in WORKLOADS:
+                cmd = [sys.executable, str(RUNNER.relative_to(ROOT)), "--workload", w,
+                       "--seed", str(SEED), "--seconds", str(args.seconds),
+                       "--trace", str(trace)]
+                commands[f"{w} trace {trace}"] = " ".join(cmd[1:])
+                print(f"[{rep + 1}/{args.repeats}] {commands[f'{w} trace {trace}']}",
+                      flush=True)
+                one = run_once(cmd, timeout)
+                res = results[w]
+                res["runs"] += 1
+                ok = one["returncode"] == 0 and one["report"].get("correct") is True
+                res["failed_runs"] += not ok
+                res["model"].update(one["model"])
+                if one["machine"]:
+                    machines.add(one["machine"])
+                for name, metric in one["report"].get("metrics", {}).items():
+                    entry = res["metrics"].setdefault(name, {"unit": metric["unit"], "values": []})
+                    entry["values"].append(metric["value"])
+    workloads = {}
+    for w, res in results.items():
+        workloads[w] = {
+            "runs": res["runs"],
+            "failed_runs": res["failed_runs"],
+            "model": sorted(res["model"]),
+            "metrics": {name: {"unit": m["unit"], **summary(m["values"])}
+                        for name, m in sorted(res["metrics"].items())},
+        }
+    doc = {
+        "tag": args.tag,
+        "commit": git_commit(),
+        "started": started,
+        "machine": {"cpu": cpu_model(), "perfbench": sorted(machines)},
+        "repeats": args.repeats,
+        "seconds": args.seconds,
+        "seed": SEED,
+        "commands": commands,
+        "workloads": workloads,
+    }
+    out = ROOT / f"BENCH_{args.tag}.json"
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+    failed = sum(res["failed_runs"] for res in results.values())
+    print(f"wrote {out.relative_to(ROOT)}: {args.repeats} repeat(s), {failed} failed process(es)")
+    return 1 if failed else 0
+
+
+def compare(path_a: str, path_b: str) -> int:
+    a, b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
+    print(f"a = {path_a} ({a['commit']}, {a['repeats']} repeats)")
+    print(f"b = {path_b} ({b['commit']}, {b['repeats']} repeats)")
+    print(f"{'workload':<10} {'metric':<28} {'median a':>11} {'median b':>11} "
+          f"{'b/a':>7}  IQRs")
+    for w in WORKLOADS:
+        ma, mb = a["workloads"][w]["metrics"], b["workloads"][w]["metrics"]
+        for name in (n for n in ma if n in mb):
+            x, y = ma[name], mb[name]
+            if not (x["median"] or y["median"]):
+                continue  # a layer this workload does not use
+            ratio = f"{y['median'] / x['median']:7.3f}" if x["median"] else "    n/a"
+            overlap = x["q1"] <= y["q3"] and y["q1"] <= x["q3"]
+            print(f"{w:<10} {name:<28} {x['median']:11.5g} {y['median']:11.5g} {ratio}  "
+                  f"{'overlap' if overlap else 'disjoint'}")
+    for w in WORKLOADS:
+        same = a["workloads"][w]["model"] == b["workloads"][w]["model"]
+        print(f"{w}: model digest lines {'identical' if same else 'DIFFER'}")
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--tag", help="write BENCH_<tag>.json")
+    mode.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two BENCH files")
+    parser.add_argument("--repeats", type=int, default=5, help="processes per workload and mode")
+    parser.add_argument("--seconds", type=float,
+                        default=json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"],
+                        help="each process's time budget (default: BENCHMARK.json's)")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if args.repeats < 1:
+        parser.error("--repeats must be >= 1")
+    return bench(args)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -177,14 +177,15 @@ def vgg_generate_tasks(config: VggConfig, x: TensorBuffer, weights: VggWeights,
 
     dummy_in = x.view()
     dummy_out = y.view()
+    conv_w = [w.view() for w in weights.conv]
+    fc_w = [w.view() for w in weights.fc]
     tasks: list[TaskInstance] = []
     for i in range(config.batch):
         for layer in range(CONV_LAYERS):
-            w_view = weights.conv[layer].view()
             if layer == 0:
-                args = [cropped(x, 3, i, 1), dummy_out, w_view, False, True, True, False]
+                args = [cropped(x, 3, i, 1), dummy_out, conv_w[layer], False, True, True, False]
             else:
-                args = [dummy_in, dummy_out, w_view, True, True, True, False]
+                args = [dummy_in, dummy_out, conv_w[layer], True, True, True, False]
             tasks.append(overlay.enqueue(0, args, i, kind=f"conv[{layer}]"))
             if layer in POOL_AFTER_LAYER:
                 k = POOL_AFTER_LAYER.index(layer)
@@ -196,7 +197,7 @@ def vgg_generate_tasks(config: VggConfig, x: TensorBuffer, weights: VggWeights,
         fc_in = [cropped(pool_out, 3, i, 1), cropped(f0, 1, i, 1), cropped(f1, 1, i, 1)]
         fc_out = [cropped(f0, 1, i, 1), cropped(f1, 1, i, 1), cropped(y, 1, i, 1)]
         for k in range(FC_LAYERS):
-            args = [fc_in[k], fc_out[k], weights.fc[k].view(), False, False, True, True]
+            args = [fc_in[k], fc_out[k], fc_w[k], False, False, True, True]
             tasks.append(overlay.enqueue(0, args, i, kind=f"fc[{k}]"))
     return tasks, vgg_rules(), VggOutputs(pool_out, y)
 

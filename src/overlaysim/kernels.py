@@ -38,7 +38,7 @@ from .errors import (
     ShapeError,
     SingularPivotError,
 )
-from .tensors import (READ, READ_WRITE, WRITE, AccessSet, BlockView, access_set,
+from .tensors import (MODES, READ, READ_WRITE, WRITE, AccessSet, BlockView, access_set,
                       next_resource_id)
 
 # pivots below this magnitude count as singular (no pivoting is performed)
@@ -71,13 +71,17 @@ class FeatureBuffer:
     resource_id: int = field(default_factory=next_resource_id)
     shape_log: list = field(default_factory=list)
 
+    def __post_init__(self):
+        # one access set per mode, shared by every task that touches the slot
+        self._access = {mode: AccessSet(self.resource_id, ((0, 1),), mode) for mode in MODES}
+
     def store(self, arr: np.ndarray) -> None:
         self.slot = arr
         self.shape_log.append(tuple(arr.shape))
 
     def access(self, mode: str) -> AccessSet:
         """The slot as a one-cell resource: any two uses with a write conflict."""
-        return AccessSet(self.resource_id, ((0, 1),), mode)
+        return self._access[mode]
 
 
 def _stored_map(fb: FeatureBuffer | None, what: str) -> np.ndarray:
@@ -234,13 +238,28 @@ def gemm(c: BlockView, a: BlockView, b: BlockView,
     The coefficients must be finite; they are checked before any operand is
     read.  C must not share elements with A or B, as the product is accumulated
     into C's storage directly; gemm_access_sets checks that and the shapes.
+
+    The product A(gamma*B) is the one C-sized temporary: C is scaled and
+    updated in place, as a BLAS gemm does, and a unit alpha or beta costs no
+    pass, so LU's C - A*B streams C once.  The bits equal those of
+    `alpha * C + beta * (A @ (gamma * B))`, since x*1 = x and c + (-1*p) =
+    c - p exactly.  B is scaled even when gamma is 1: a strided B handed
+    straight to the matmul can take another BLAS path and change the bits.
     """
     for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
         if not math.isfinite(value):
             raise ValueError(f"coefficient {name} must be finite")
     gemm_access_sets(c, a, b, alpha, beta, gamma)
     cm, am, bm = c.array(), a.array(), b.array()
-    cm[...] = alpha * cm + beta * (am @ (gamma * bm))
+    prod = am @ (gamma * bm)
+    if alpha != 1:
+        cm *= alpha
+    if beta == -1:
+        cm -= prod
+    else:
+        if beta != 1:
+            prod *= beta
+        cm += prod
     return 2 * am.shape[0] * am.shape[1] * bm.shape[1]
 
 

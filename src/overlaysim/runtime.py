@@ -179,11 +179,13 @@ def build_task_graph(tasks, rules) -> TaskGraph:
     for t in tasks:
         by_slot.setdefault((t.kind, t.iteration), []).append(t)
 
+    rules_of: dict[str, list[DependenceRule]] = {}
+    for rule in rules:
+        rules_of.setdefault(rule.dependent_kind, []).append(rule)
+
     edges: dict[tuple[int, int, str], None] = {}
     for t in tasks:
-        for rule in rules:
-            if rule.dependent_kind != t.kind:
-                continue
+        for rule in rules_of.get(t.kind, ()):
             if rule.condition is not None and not rule.condition.holds(t.iteration):
                 continue
             for pre in by_slot.get((rule.prerequisite_kind, t.iteration - rule.distance), []):
@@ -287,7 +289,8 @@ def run(overlay, graph: TaskGraph, worker_count: int = 1,
     its body runs there and then, on the calling thread, and the flop count
     it returns sets its virtual end.  Then the clock jumps to the earliest
     end, and every task ending at that time completes.  A failing body stops
-    scheduling and is re-raised with the task id attached.
+    scheduling and is re-raised with the task id attached.  A task on a queue
+    the overlay lacks raises InvocationError before any body runs.
 
     Unless unsafe is set, refuses to run a graph whose conflict report is
     non-empty, since unordered conflicting tasks would make results depend
@@ -299,6 +302,8 @@ def run(overlay, graph: TaskGraph, worker_count: int = 1,
         conflicts = check_dependence_sufficiency(graph)
         if conflicts:
             raise DependenceConflictError(conflicts)
+    # each queue's body, resolved once; a queue the overlay lacks raises here
+    bodies = {q: overlay.interface(q).ip.run for q in {t.queue_no for t in graph.tasks}}
     frontier = _Frontier(graph)
     # ascending, hence a heap; lowest-first use never needs more slots than tasks
     free = list(range(min(worker_count, len(graph.tasks))))
@@ -310,9 +315,8 @@ def run(overlay, graph: TaskGraph, worker_count: int = 1,
     while frontier or running:
         while frontier and free:
             t = graph.by_id[frontier.pop()]
-            body = overlay.interface(t.queue_no).ip.run
             try:
-                flops = int(body(t.args, overlay.feature_buffer))
+                flops = int(bodies[t.queue_no](t.args, overlay.feature_buffer))
             except Exception as exc:
                 raise TaskExecutionError(t.id, t.kind) from exc
             slot = heapq.heappop(free)

@@ -3,10 +3,10 @@
 These reimplement checks at element granularity, independently of the
 library's interval-based machinery, so the two can be compared.  The
 quadratic conflict checker, the queue-scanning virtual replay, the
-thread-pool executor, the row/column loops of the LU kernels, the flop
-formulas of the overlay's old run adapters, and the tensordot convolution and
-axis-reduce pool of the CNN kernels, all once used by the library, are kept
-here as the references for their replacements.
+thread-pool executor, the row/column loops of the LU kernels, the one-line
+GEMM expression, the flop formulas of the overlay's old run adapters, and the
+tensordot convolution and axis-reduce pool of the CNN kernels, all once used
+by the library, are kept here as the references for their replacements.
 """
 
 import heapq
@@ -231,6 +231,11 @@ def reference_transform_column_panel(a):
         if c:
             trailing[:, c] -= trailing[:, :c] @ upper[:c, c]
         trailing[:, c] /= diag
+
+
+def reference_gemm(cm, am, bm, alpha, beta, gamma):
+    """The one expression kernels.gemm once ran, in place on C's array."""
+    cm[...] = alpha * cm + beta * (am @ (gamma * bm))
 
 
 def reference_conv2d_same(arr, wt):

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     reference_conv2d_same,
+    reference_gemm,
     reference_lu_factor_block,
     reference_maxpool,
     reference_transform_column_panel,
@@ -274,6 +275,10 @@ class TestHeadBlockAboveBlock:
         self.assert_pivot(transform_column_panel, np.vstack([head, rest]), 45)
 
 
+COEFFICIENTS = st.one_of(st.sampled_from([1, -1, 0, 0.5, 2]),
+                         st.floats(-4, 4, allow_nan=False, allow_infinity=False))
+
+
 class TestGemm:
     def test_annihilated_product(self):
         c = view_of([[3.0, 1.0], [2.0, 7.0]])
@@ -347,6 +352,29 @@ class TestGemm:
         right = view_of(c0)
         gemm(right, view_of(a0), view_of(b0), 1.0, b_coef * g_coef, 1.0)
         np.testing.assert_allclose(left.array(), right.array(), atol=1e-12)
+
+    @given(st.integers(1, 40), st.one_of(st.integers(1, 3), st.integers(4, 40)),
+           st.integers(1, 300), st.integers(0, 3), st.sampled_from([np.float32, np.float64]),
+           COEFFICIENTS, COEFFICIENTS, COEFFICIENTS, st.integers(0, 2 ** 31))
+    # LU's trailing update with a one-row A, where an unscaled strided B
+    # takes another BLAS path
+    @example(1, 2, 64, 1, np.float64, 1.0, -1.0, 1.0, 0)
+    @example(1, 3, 100, 0, np.float32, 1.0, -1.0, 1.0, 0)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_one_expression(self, m, n, k, lead, dtype, alpha, beta, gamma, seed):
+        """The in-place update gives the bits of the one expression it
+        replaced, on disjoint strided views of one buffer laid out as LU crops
+        them: C the trailing block, A the column tail left of it and B the row
+        tail above it, below `lead` rows and columns already factored."""
+        data = np.random.default_rng(seed).normal(
+            size=(lead + k + m, lead + k + n)).astype(dtype)
+        buf = TensorBuffer(data.copy())
+        inner, rows, cols = (lead, lead + k), (lead + k, lead + k + m), (lead + k, lead + k + n)
+        gemm(BlockView(buf, (rows, cols)), BlockView(buf, (rows, inner)),
+             BlockView(buf, (inner, cols)), alpha, beta, gamma)
+        reference_gemm(data[slice(*rows), slice(*cols)], data[slice(*rows), slice(*inner)],
+                       data[slice(*inner), slice(*cols)], alpha, beta, gamma)
+        np.testing.assert_array_equal(buf.data, data)
 
 
 def fresh_fb():

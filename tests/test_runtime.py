@@ -511,6 +511,17 @@ class TestRun:
         with pytest.raises(errors.InvocationError):
             run(ov, graph, worker_count=0)
 
+    def test_unknown_queue_raises_before_any_body(self):
+        ran = []
+        ov = noop_overlay(2)
+        graph = build_task_graph([ov.enqueue(q, [], 0, kind=f"q{q}") for q in (0, 1)], [])
+        record = IpDescriptor("Record", (), lambda args, fb: ran.append(1) or 1,
+                              lambda args, fb: ())
+        one_queue = Overlay("one", [command(record, 0)])
+        with pytest.raises(errors.InvocationError, match="has no queue 1"):
+            run(one_queue, graph)
+        assert ran == []
+
     def test_serial_schedule_is_back_to_back_on_worker_zero(self):
         _, overlay, tasks, rules = lu_setup(3, 2)
         graph = build_task_graph(tasks, rules)
