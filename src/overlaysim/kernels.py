@@ -245,6 +245,9 @@ def gemm(c: BlockView, a: BlockView, b: BlockView,
     `alpha * C + beta * (A @ (gamma * B))`, since x*1 = x and c + (-1*p) =
     c - p exactly.  B is scaled even when gamma is 1: a strided B handed
     straight to the matmul can take another BLAS path and change the bits.
+    The bits hold for coefficients given as Python numbers, as tasks carry
+    them; a numpy float64 coefficient on f32 operands would round after each
+    in-place step, where the expression rounded once from float64.
     """
     for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
         if not math.isfinite(value):

@@ -302,7 +302,7 @@ def run(overlay, graph: TaskGraph, worker_count: int = 1,
         conflicts = check_dependence_sufficiency(graph)
         if conflicts:
             raise DependenceConflictError(conflicts)
-    # each queue's body, resolved once; a queue the overlay lacks raises here
+    # one lookup per queue, before any body runs
     bodies = {q: overlay.interface(q).ip.run for q in {t.queue_no for t in graph.tasks}}
     frontier = _Frontier(graph)
     # ascending, hence a heap; lowest-first use never needs more slots than tasks
