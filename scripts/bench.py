@@ -3,6 +3,7 @@
 
     python scripts/bench.py --tag <name> [--repeats K] [--seconds S]
     python scripts/bench.py --compare BENCH_a.json BENCH_b.json
+    python scripts/bench.py --pairs OTHER_CHECKOUT --workload W [--repeats K] [--seconds S]
 
 The first form runs `perfbench/run.py --workload W --seed 1 --trace T` of
 the checkout this script sits in, K times for each workload and each trace
@@ -19,6 +20,15 @@ both files, the ratio of medians (b over a) and whether the interquartile
 ranges overlap, then whether the digest lines agree.  Spread is measured across processes, not within one,
 because one process's runs share its memory layout and the machine's state
 at the time.
+
+The third form measures a change against another checkout of the project
+(say, its parent commit, from `git archive`): K pairs of `--trace 0`
+processes of workload W, one of the other checkout's perfbench/run.py and
+one of this checkout's, back to back.  The pairs alternate which one runs
+first, so a drift in the machine's speed favours neither.  It prints each
+pair's run_s, each side's median and interquartile range, how many pairs
+this checkout won (the lower run_s), and whether the digest lines agree.
+It exits 1 if any process failed or reported an incorrect result.
 """
 
 from __future__ import annotations
@@ -60,10 +70,10 @@ def cpu_model() -> str:
     return platform.processor() or platform.machine()
 
 
-def run_once(cmd: list[str], timeout: float) -> dict:
+def run_once(cmd: list[str], timeout: float, cwd: Path = ROOT) -> dict:
     """One benchmark process: its exit code, final JSON line, machine and model lines."""
     try:
-        done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=timeout)
+        done = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True, timeout=timeout)
     except subprocess.TimeoutExpired:
         sys.stderr.write(f"timed out after {timeout:.0f} s: {' '.join(cmd)}\n")
         return {"returncode": None, "report": {}, "machine": None, "model": []}
@@ -80,6 +90,10 @@ def run_once(cmd: list[str], timeout: float) -> dict:
         "machine": machine,
         "model": [ln for ln in lines if ln.startswith("model ")],
     }
+
+
+def succeeded(one: dict) -> bool:
+    return one["returncode"] == 0 and one["report"].get("correct") is True
 
 
 def summary(values: list[float]) -> dict:
@@ -109,8 +123,7 @@ def bench(args) -> int:
                 one = run_once(cmd, timeout)
                 res = results[w]
                 res["runs"] += 1
-                ok = one["returncode"] == 0 and one["report"].get("correct") is True
-                res["failed_runs"] += not ok
+                res["failed_runs"] += not succeeded(one)
                 res["model"].update(one["model"])
                 if one["machine"]:
                     machines.add(one["machine"])
@@ -166,12 +179,60 @@ def compare(path_a: str, path_b: str) -> int:
     return 0
 
 
+def pairs(args) -> int:
+    timeout = 10 * args.seconds + 300
+    roots = {"other": Path(args.pairs).resolve(), "this": ROOT}
+    if not (roots["other"] / "perfbench" / "run.py").is_file():
+        sys.stderr.write(f"no perfbench/run.py under {roots['other']}\n")
+        return 2
+    run_s = {side: [] for side in roots}
+    model = {side: set() for side in roots}
+    failed = wins = complete = 0
+    print(f"other = {roots['other']}\nthis  = {ROOT}")
+    print(f"{'pair':>4}  {'first':<5}  {'other run_s':>11}  {'this run_s':>10}  {'this/other':>10}")
+    for k in range(args.repeats):
+        order = ("other", "this") if k % 2 == 0 else ("this", "other")
+        got = {}
+        for side in order:
+            cmd = [sys.executable, str(roots[side] / "perfbench" / "run.py"),
+                   "--workload", args.workload, "--seed", str(SEED),
+                   "--seconds", str(args.seconds), "--trace", "0"]
+            one = run_once(cmd, timeout, cwd=roots[side])
+            if not succeeded(one):
+                failed += 1
+                continue
+            got[side] = one["report"]["metrics"]["run_s"]["value"]
+            run_s[side].append(got[side])
+            model[side].update(one["model"])
+        if len(got) < 2:
+            print(f"{k + 1:>4}  {order[0]:<5}  a process failed")
+            continue
+        complete += 1
+        wins += got["this"] < got["other"]
+        print(f"{k + 1:>4}  {order[0]:<5}  {got['other']:11.4f}  {got['this']:10.4f}  "
+              f"{got['this'] / got['other']:10.3f}", flush=True)
+    for side, values in run_s.items():
+        if values:
+            q = summary(values)
+            print(f"{side:<5} run_s median {q['median']:.4f} s, IQR {q['q1']:.4f}-{q['q3']:.4f} s "
+                  f"({q['q3'] - q['q1']:.4f} s), {len(values)} process(es)")
+    print(f"this checkout won {wins} of {complete} pair(s) on {args.workload} run_s")
+    print(f"model digest lines {'identical' if model['this'] == model['other'] else 'DIFFER'}")
+    if failed:
+        print(f"{failed} failed process(es)")
+    return 1 if failed else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--tag", help="write BENCH_<tag>.json")
     mode.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two BENCH files")
-    parser.add_argument("--repeats", type=int, default=5, help="processes per workload and mode")
+    mode.add_argument("--pairs", metavar="OTHER_CHECKOUT",
+                      help="run alternating pairs of processes against another checkout")
+    parser.add_argument("--workload", choices=WORKLOADS, help="the workload of --pairs")
+    parser.add_argument("--repeats", type=int, default=5,
+                        help="processes per workload and mode, or pairs with --pairs")
     parser.add_argument("--seconds", type=float,
                         default=json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"],
                         help="each process's time budget (default: BENCHMARK.json's)")
@@ -180,6 +241,10 @@ def main(argv=None) -> int:
         return compare(*args.compare)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
+    if args.pairs:
+        if not args.workload:
+            parser.error("--pairs needs --workload")
+        return pairs(args)
     return bench(args)
 
 

@@ -245,9 +245,6 @@ def gemm(c: BlockView, a: BlockView, b: BlockView,
     `alpha * C + beta * (A @ (gamma * B))`, since x*1 = x and c + (-1*p) =
     c - p exactly.  B is scaled even when gamma is 1: a strided B handed
     straight to the matmul can take another BLAS path and change the bits.
-    The bits hold for coefficients given as Python numbers, as tasks carry
-    them; a numpy float64 coefficient on f32 operands would round after each
-    in-place step, where the expression rounded once from float64.
     """
     for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
         if not math.isfinite(value):
@@ -294,31 +291,44 @@ def _squeeze_to(arr: np.ndarray, rank: int, what: str) -> np.ndarray:
 def _conv2d_same(arr: np.ndarray, wt: np.ndarray) -> np.ndarray:
     """Stride-1 cross-correlation with zero padding that preserves H x W.
 
-    One matmul per tap, accumulated into out in tap order.  On the small
-    maps of the VGG pipeline the cost is per call, not per flop, so each tap
-    is a plain `@` on a window of the padded map: np.tensordot would reshape
-    and copy every window in Python first.  im2col (one matmul over all
-    taps) was not taken: it sums in BLAS order, so its bits differ, and its
-    column temporary raises the process's peak memory.
+    The taps run as one stacked matmul.  The map is padded once into an
+    (H + Kh) x W' x Cin array, W' = W + Kw - 1.  Flattened over its pixels,
+    tap (u, v) reads the H W' pixels that start at pixel u W' + v, so the Kh Kw
+    tap windows are one strided view of the padded map, with no copy; the
+    spare row keeps the last window in bounds.  One np.matmul multiplies each
+    window by its tap's weights, and np.add.reduce sums the products over
+    the leading tap axis, which numpy does one tap after the other onto the
+    +0.0 initial value: the taps are summed in tap order from zero, as a
+    `+=` loop over the taps into a zeroed output sums them.  The W' - W
+    trailing columns of each row, which wrap around into the next row, are
+    sliced off.  The small maps of the VGG pipeline cost per call, not per
+    flop, so two numpy calls do the work of 2 Kh Kw.  The view comes from the
+    ndarray constructor, since as_strided costs more than a small map's
+    matmul.  im2col was not taken: it sums taps and channels together in
+    BLAS order, so its bits differ, and its column temporary raises the
+    process's peak memory.
 
-    The bits match the np.tensordot tap loop on every shipped VGG preset, but
-    not on every shape: the matmul may sum a tap's channels in another order,
-    which changed the last bits of some maps with two or more input
-    channels, most often at f32 (at most 2e-7 relative) and at f64 with
-    eight channels.
+    The bits equal those of that loop with one `@` per tap on a window of the
+    padded map (tests/helpers.reference_conv2d_taps) on every conv layer
+    shape of the tiny and small VGG presets, at f32 and f64.  On other shapes
+    BLAS may sum a tap's channels in another order for the H W' rows of a
+    stacked product than for the W rows of a window, which moves the last
+    bits of some maps with two or more input channels.
     """
     h, w, cin = arr.shape
     kh, kw, wcin, cout = wt.shape
     if wcin != cin:
         raise ShapeError(f"convolution: input has {cin} channels, weights expect {wcin}")
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
-    padded = np.zeros((h + kh - 1, w + kw - 1, cin), dtype=np.result_type(arr, wt))
+    wide = w + kw - 1
+    padded = np.zeros((h + kh, wide, cin), dtype=np.result_type(arr, wt))
     padded[ph:ph + h, pw:pw + w, :] = arr
-    out = np.zeros((h, w, cout), dtype=padded.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            out += padded[u:u + h, v:v + w, :] @ wt[u, v]
-    return out
+    row, pixel, channel = padded.strides
+    windows = np.ndarray((kh, kw, h * wide, cin), padded.dtype, buffer=padded,
+                         strides=(row, pixel, pixel, channel))
+    prods = np.matmul(windows, wt).reshape(kh * kw, h * wide, cout)
+    out = np.add.reduce(prods, axis=0, initial=0.0)
+    return out.reshape(h, wide, cout)[:, :w]
 
 
 def _deliver(out: np.ndarray, y: BlockView, store_to_buffer: bool,

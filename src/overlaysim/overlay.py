@@ -126,6 +126,17 @@ class Overlay:
                 raise InvocationError(
                     f"{iface.ip.name}: parameter {pos} must be a scalar, got {param!r}"
                 )
+        if "scalar" in sig:
+            # stored as Python floats, so a numpy scalar (np.float64 is a
+            # float) cannot promote a kernel's arithmetic past the operands'
+            # dtype: every scalar of the same value gives the same bits
+            try:
+                params = tuple(float(p) if kind == "scalar" else p
+                               for p, kind in zip(params, sig))
+            except OverflowError:
+                raise InvocationError(
+                    f"{iface.ip.name}: a scalar parameter does not fit in a float"
+                ) from None
         if type(iteration) is not int:
             raise InvocationError(f"{iface.ip.name}: iteration must be an int, got {iteration!r}")
         if kind is not None and not isinstance(kind, str):

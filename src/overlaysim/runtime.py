@@ -19,6 +19,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     CyclicDependenceError,
@@ -79,8 +80,7 @@ def depend(dependent_kind: str, prerequisite_kind: str, distance: int,
     return DependenceRule(dependent_kind, prerequisite_kind, distance, condition)
 
 
-@dataclass(frozen=True)
-class GraphEdge:
+class GraphEdge(NamedTuple):
     pre: int
     dep: int
     provenance: str  # "rule" | "queue-order"
@@ -263,8 +263,7 @@ def check_dependence_sufficiency(graph: TaskGraph) -> list[Conflict]:
     return conflicts
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     id: int
     kind: str
     iteration: int
@@ -339,12 +338,12 @@ def run(overlay, graph: TaskGraph, worker_count: int = 1,
 # One JSON object per task, in virtual-start order, then one closing object
 # holding the edge list.  An empty trace is an empty file.
 
-# TraceRecord's fields as the file spells them, in declaration order (vars order)
+# TraceRecord's fields as the file spells them, in field order
 _RECORD_KEYS = ("id", "kind", "iter", "queue", "vstart", "vend", "worker")
 
 
 def emit_trace(trace: ExecutionTrace, path) -> None:
-    lines = [json.dumps(dict(zip(_RECORD_KEYS, vars(r).values()))) for r in trace.records]
+    lines = [json.dumps(dict(zip(_RECORD_KEYS, r))) for r in trace.records]
     if trace.records or trace.edges:
         lines.append(json.dumps({"edges": [list(e) for e in sorted(trace.edges)]}))
     with open(path, "w") as fh:

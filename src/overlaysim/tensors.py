@@ -9,7 +9,7 @@ can be taken without allocating element storage.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,7 +46,10 @@ def _checked_shape(shape) -> tuple[int, ...]:
 
 
 class TensorBuffer:
-    """Owned dense N-d float storage, row-major with the last axis fastest."""
+    """Owned dense N-d float storage, row-major with the last axis fastest.
+
+    data is bound once: views store numpy windows of it.
+    """
 
     def __init__(self, data):
         arr = np.ascontiguousarray(data)
@@ -91,32 +94,37 @@ class BlockView:
 
     elem_ranges is one half-open (start, stop) pair per buffer axis.  Ranges
     are validated eagerly so a bad crop fails at construction, not when some
-    task finally runs.
+    task finally runs.  The numpy window is taken at construction too and
+    stored, since a buffer's array is never replaced; it takes no part in
+    equality, hashing or repr.
     """
 
     buffer: TensorBuffer
     elem_ranges: tuple[tuple[int, int], ...]
+    _window: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        shape = self.buffer.shape
-        if len(self.elem_ranges) != len(shape):
+        data = self.buffer.data
+        if len(self.elem_ranges) != data.ndim:
             raise InvalidCropError(
-                f"{len(self.elem_ranges)} ranges for a rank-{len(shape)} buffer"
+                f"{len(self.elem_ranges)} ranges for a rank-{data.ndim} buffer"
             )
-        for axis, ((lo, hi), extent) in enumerate(zip(self.elem_ranges, shape)):
+        index = []
+        for axis, ((lo, hi), extent) in enumerate(zip(self.elem_ranges, data.shape)):
             if lo < 0 or hi > extent or lo >= hi:
                 raise InvalidCropError(
                     f"axis {axis}: range [{lo}, {hi}) invalid for extent {extent}"
                 )
+            index.append(slice(lo, hi))
+        object.__setattr__(self, "_window", data[tuple(index)])
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(hi - lo for lo, hi in self.elem_ranges)
+        return self._window.shape
 
     def array(self) -> np.ndarray:
         """The numpy window sharing storage with the underlying buffer."""
-        index = tuple(slice(lo, hi) for lo, hi in self.elem_ranges)
-        return self.buffer.data[index]
+        return self._window
 
     def to_buffer_coord(self, coord) -> tuple[int, ...]:
         """Translate a view coordinate into the owning buffer's coordinate."""

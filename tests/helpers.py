@@ -254,6 +254,23 @@ def reference_conv2d_same(arr, wt):
     return out
 
 
+def reference_conv2d_taps(arr, wt):
+    """The per-tap loop kernels._conv2d_same once ran: one `@` per tap on a
+    window of the padded map, added in tap order into a zeroed output."""
+    h, w, cin = arr.shape
+    kh, kw, wcin, cout = wt.shape
+    if wcin != cin:
+        raise ShapeError(f"convolution: input has {cin} channels, weights expect {wcin}")
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    padded = np.zeros((h + kh - 1, w + kw - 1, cin), dtype=np.result_type(arr, wt))
+    padded[ph:ph + h, pw:pw + w, :] = arr
+    out = np.zeros((h, w, cout), dtype=padded.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            out += padded[u:u + h, v:v + w, :] @ wt[u, v]
+    return out
+
+
 def reference_maxpool(arr):
     """The reshape-and-reduce 2x2 pool kernels.maxpool once ran on an H x W x C map."""
     h, w, c = arr.shape

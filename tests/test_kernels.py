@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     reference_conv2d_same,
+    reference_conv2d_taps,
     reference_gemm,
     reference_lu_factor_block,
     reference_maxpool,
@@ -14,6 +15,7 @@ from helpers import (
     reference_transform_row_panel,
 )
 from overlaysim import errors
+from overlaysim.apps.vgg import STAGE_OF_LAYER, small_config, tiny_config
 from overlaysim.kernels import (
     FeatureBuffer,
     convolution,
@@ -384,6 +386,24 @@ def fresh_fb():
 # read_input_from_buffer, store_output_to_buffer, with_relu, is_fc_layer
 DDR_FLAGS = (False, False, False, False)
 
+# (h, w, cin, cout, strided) of every conv layer of the shipped VGG presets;
+# the first layer reads one map of the batched input, a strided crop
+PRESET_CONV_SHAPES = sorted({
+    (cfg.height >> STAGE_OF_LAYER[layer], cfg.width >> STAGE_OF_LAYER[layer], cin, cout,
+     layer == 0)
+    for cfg in (tiny_config(), small_config())
+    for layer, (cin, cout) in enumerate(cfg.conv_channel_plan())
+})
+
+
+def conv_of_crop(x0, w0, batch):
+    """The convolution kernel on the last map of x0 (H x W x Cin x batch),
+    read through a crop of the batch axis, into a fresh H x W x Cout view."""
+    y = TensorBuffer(np.zeros(x0.shape[:2] + w0.shape[3:], dtype=x0.dtype)).view()
+    convolution(cropped(TensorBuffer(x0), 3, batch - 1, 1), y, TensorBuffer(w0).view(),
+                *DDR_FLAGS, None)
+    return y.array()
+
 
 class TestConvolution:
     def test_degenerate_1x1(self):
@@ -489,12 +509,53 @@ class TestConvolution:
         batch = 3 if strided else 1
         x0 = rng.uniform(-1, 1, (h, w, cin, batch)).astype(dtype)
         w0 = rng.uniform(-1, 1, (k, k, cin, cout)).astype(dtype)
-        y = TensorBuffer(np.zeros((h, w, cout), dtype=dtype)).view()
-        convolution(cropped(TensorBuffer(x0), 3, batch - 1, 1), y, TensorBuffer(w0).view(),
-                    *DDR_FLAGS, None)
+        got = conv_of_crop(x0, w0, batch)
         want = reference_conv2d_same(x0[..., batch - 1], w0)
         tol = 1e-12 if dtype is np.float64 else 1e-5
-        assert np.max(np.abs(y.array() - want)) <= tol * max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("h, w, cin, cout, strided", PRESET_CONV_SHAPES)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=5, deadline=None)
+    def test_stacked_taps_keep_tap_loop_bits_on_presets(self, h, w, cin, cout, strided,
+                                                        dtype, seed):
+        """Bit for bit the per-tap loop it replaces, on every conv layer shape
+        of the tiny and small VGG presets."""
+        rng = np.random.default_rng(seed)
+        batch = 3 if strided else 1
+        x0 = rng.uniform(-1, 1, (h, w, cin, batch)).astype(dtype)
+        w0 = rng.uniform(-1, 1, (3, 3, cin, cout)).astype(dtype)
+        np.testing.assert_array_equal(conv_of_crop(x0, w0, batch),
+                                      reference_conv2d_taps(x0[..., batch - 1], w0))
+
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 8), st.integers(1, 8),
+           st.sampled_from([1, 2, 3]), st.sampled_from([1, 2, 3]),
+           st.sampled_from([np.float32, np.float64]), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    @example(1, 1, 1, 1, 3, 1, np.float64, False, 0)  # each tap's product is one number
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_taps_match_tap_loop(self, h, w, cin, cout, kh, kw, dtype, strided,
+                                         seed):
+        """Within rounding of the per-tap loop on any shape, square kernel or
+        not, where BLAS may sum a tap's channels in another order."""
+        rng = np.random.default_rng(seed)
+        batch = 3 if strided else 1
+        x0 = rng.uniform(-1, 1, (h, w, cin, batch)).astype(dtype)
+        w0 = rng.uniform(-1, 1, (kh, kw, cin, cout)).astype(dtype)
+        got = conv_of_crop(x0, w0, batch)
+        want = reference_conv2d_taps(x0[..., batch - 1], w0)
+        assert got.dtype == want.dtype
+        tol = 1e-12 if dtype is np.float64 else 1e-5
+        assert np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_all_negative_zero_sums_to_positive_zero(self, k):
+        """The tap sum starts from +0.0, as the zeroed output of the tap loop did."""
+        x0 = np.full((4, 4, 2, 1), -0.0)
+        w0 = np.ones((k, k, 2, 2))
+        got = conv_of_crop(x0, w0, 1)
+        assert np.all(got == 0.0) and not np.any(np.signbit(got))
 
 
 # ties, signed zeros and the default NaN, where the order of the maxima shows

@@ -28,7 +28,7 @@ from overlaysim.apps import (
     vgg_overlay,
 )
 from overlaysim.runtime import build_task_graph
-from overlaysim.tensors import BlockView, new_buffer, bcropped
+from overlaysim.tensors import BlockView, TensorBuffer, new_buffer, bcropped
 
 from helpers import reference_flops
 
@@ -170,6 +170,30 @@ class TestEnqueue:
         task = ov.enqueue(3, [trailing, col, row, 1.0, -1.0, 1.0], 0, kind="update")
         assert task.queue_no == 3
         assert task.args[3:] == (1.0, -1.0, 1.0)
+
+    def test_scalars_stored_as_python_floats(self):
+        """An np.float64 coefficient on f32 operands gives the bits of the
+        same Python float: enqueue stores every scalar with float()."""
+        results = []
+        for coeffs in ([0.3, -0.7, 1.3], [np.float64(0.3), np.float64(-0.7), np.float64(1.3)]):
+            ov = lu_overlay()
+            buf = TensorBuffer(np.random.default_rng(5).uniform(-1, 1, (6, 6)).astype(np.float32))
+            c, a, b = (bcropped(buf, 2, 1, 2, 1, 2), bcropped(buf, 2, 1, 2, 0, 0),
+                       bcropped(buf, 2, 0, 0, 1, 2))
+            task = ov.enqueue(3, [c, a, b] + coeffs, 0)
+            assert all(type(v) is float for v in task.args[3:])
+            ov.interface(3).ip.run(task.args, None)
+            results.append(buf.data)
+        np.testing.assert_array_equal(results[0], results[1])
+        assert results[0].dtype == np.float32
+
+    def test_scalar_too_large_for_a_float(self):
+        ov = lu_overlay()
+        buf = new_buffer([4, 4])
+        views = [bcropped(buf, 2, 1, 1, 1, 1), bcropped(buf, 2, 1, 1, 0, 0),
+                 bcropped(buf, 2, 0, 0, 1, 1)]
+        with pytest.raises(errors.InvocationError):
+            ov.enqueue(3, views + [10 ** 400, 1.0, 1.0], 0)
 
     def test_unknown_queue(self):
         ov = lu_overlay()

@@ -32,6 +32,7 @@ from overlaysim.runtime import (
     run,
     validate_trace,
     ExecutionTrace,
+    GraphEdge,
     TaskInstance,
     TraceRecord,
 )
@@ -580,6 +581,30 @@ def test_scheduler_soundness_on_random_graphs(data):
 
 
 class TestTraceFiles:
+    def test_emit_trace_golden_bytes(self, tmp_path):
+        trace = ExecutionTrace(
+            records=[TraceRecord(0, "factor", 0, 0, 0, 3, 0),
+                     TraceRecord(1, "pool[2]", 4, 1, 3, 4, 1)],
+            edges=[(0, 1)])
+        path = tmp_path / "t.trace"
+        emit_trace(trace, path)
+        assert path.read_bytes() == (
+            b'{"id": 0, "kind": "factor", "iter": 0, "queue": 0, "vstart": 0, "vend": 3, '
+            b'"worker": 0}\n'
+            b'{"id": 1, "kind": "pool[2]", "iter": 4, "queue": 1, "vstart": 3, "vend": 4, '
+            b'"worker": 1}\n'
+            b'{"edges": [[0, 1]]}\n')
+
+    def test_record_and_edge_fields(self):
+        rec = TraceRecord(1, "k", 2, 3, 4, 5, 6)
+        assert (rec.id, rec.kind, rec.iteration, rec.queue, rec.vstart, rec.vend,
+                rec.worker) == (1, "k", 2, 3, 4, 5, 6)
+        assert TraceRecord._fields == ("id", "kind", "iteration", "queue", "vstart", "vend",
+                                       "worker")
+        edge = GraphEdge(7, 8, "rule")
+        assert (edge.pre, edge.dep, edge.provenance) == (7, 8, "rule")
+        assert GraphEdge._fields == ("pre", "dep", "provenance")
+
     def test_empty_trace_empty_file(self, tmp_path):
         path = tmp_path / "t.trace"
         emit_trace(ExecutionTrace(), path)

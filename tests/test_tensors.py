@@ -142,6 +142,35 @@ def test_view_transparency(data):
     assert view.array()[coord] == value + 1
 
 
+@given(st.data())
+@settings(max_examples=40)
+def test_view_window_writes_through_and_matches_ranges(data):
+    """The window a view stores at construction is a view of the buffer: a
+    write through it reaches the buffer, and its shape is the range extents."""
+    rank = data.draw(st.integers(1, 4))
+    shape = tuple(data.draw(st.integers(1, 5)) for _ in range(rank))
+    buf = new_buffer(shape)
+    ranges = []
+    for extent in shape:
+        lo = data.draw(st.integers(0, extent - 1))
+        ranges.append((lo, data.draw(st.integers(lo + 1, extent))))
+    view = BlockView(buf, tuple(ranges))
+    assert view.shape == tuple(hi - lo for lo, hi in ranges)
+    assert view.array().shape == view.shape
+    view.array()[...] = 7.0
+    index = tuple(slice(lo, hi) for lo, hi in ranges)
+    assert np.all(buf.data[index] == 7.0)
+    assert buf.data.sum() == 7.0 * view.array().size
+
+
+def test_view_equality_ignores_the_stored_window():
+    buf = new_buffer([4, 4])
+    a, b = BlockView(buf, ((0, 2), (1, 4))), bcropped(buf, 2, 0, 0, 0, 1)
+    assert a == BlockView(buf, ((0, 2), (1, 4))) and hash(a) == hash(BlockView(buf, a.elem_ranges))
+    assert a != b
+    assert repr(a) == f"BlockView(buffer={buf!r}, elem_ranges=((0, 2), (1, 4)))"
+
+
 class TestAccessSets:
     def test_restates_view(self):
         buf = new_buffer([6, 6])
