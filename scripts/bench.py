@@ -3,7 +3,7 @@
 
     python scripts/bench.py --tag <name> [--repeats K] [--seconds S]
     python scripts/bench.py --compare BENCH_a.json BENCH_b.json
-    python scripts/bench.py --pairs OTHER_CHECKOUT --workload W [--repeats K] [--seconds S]
+    python scripts/bench.py --pairs OTHER_CHECKOUT --workload W|all [--repeats K] [--seconds S]
 
 The first form runs `perfbench/run.py --workload W --seed 1 --trace T` of
 the checkout this script sits in, K times for each workload and each trace
@@ -23,12 +23,17 @@ at the time.
 
 The third form measures a change against another checkout of the project
 (say, its parent commit, from `git archive`): K pairs of `--trace 0`
-processes of workload W, one of the other checkout's perfbench/run.py and
-one of this checkout's, back to back.  The pairs alternate which one runs
-first, so a drift in the machine's speed favours neither.  It prints each
-pair's run_s, each side's median and interquartile range, how many pairs
-this checkout won (the lower run_s), and whether the digest lines agree.
-It exits 1 if any process failed or reported an incorrect result.
+processes of workload W (or of every workload, one after the other within
+each pair, with `--workload all`), one of the other checkout's
+perfbench/run.py and one of this checkout's, back to back.  The pairs
+alternate which one runs first, so a drift in the machine's speed favours
+neither.  It prints each pair's run_s; then, for each workload and each
+end-to-end metric of BENCHMARK.json, each side's median and interquartile
+range, how many pairs this checkout won (the better value), and the verdict
+of the claim rule for a gain of this checkout: won at least 9 pairs in 10,
+and a median better by more than the other checkout's interquartile range.
+Last, whether the digest lines agree.  It exits 1 if any process failed or
+reported an incorrect result.
 """
 
 from __future__ import annotations
@@ -44,8 +49,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNNER = ROOT / "perfbench" / "run.py"
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = ("lu_coarse", "lu_fine", "vgg_batch")
+# end-to-end metric -> 1 when lower is better, -1 when higher is
+END_TO_END = {m["name"]: 1 if m["better"] == "lower" else -1 for m in BENCHMARK["end_to_end"]}
 SEED = 1
+CLAIM_WIN_SHARE = 0.9  # the claim rule: at least 9 pairs in 10 won
 
 
 def git_commit() -> str | None:
@@ -179,45 +188,72 @@ def compare(path_a: str, path_b: str) -> int:
     return 0
 
 
+def claim_verdict(metric: str, wins: int, complete: int, other: dict, this: dict) -> str:
+    """The claim rule for a gain of this checkout on one metric."""
+    gap = END_TO_END[metric] * (other["median"] - this["median"])
+    iqr = other["q3"] - other["q1"]
+    met = complete > 0 and wins >= CLAIM_WIN_SHARE * complete and gap > iqr
+    return f"gap {gap:+.4g}, other IQR {iqr:.4g}: {'MET' if met else 'not met'}"
+
+
 def pairs(args) -> int:
     timeout = 10 * args.seconds + 300
     roots = {"other": Path(args.pairs).resolve(), "this": ROOT}
     if not (roots["other"] / "perfbench" / "run.py").is_file():
         sys.stderr.write(f"no perfbench/run.py under {roots['other']}\n")
         return 2
-    run_s = {side: [] for side in roots}
-    model = {side: set() for side in roots}
-    failed = wins = complete = 0
+    workloads = WORKLOADS if args.workload == "all" else (args.workload,)
+    # workload -> side -> metric -> values, and workload -> pairs with both sides
+    values = {w: {side: {m: [] for m in END_TO_END} for side in roots} for w in workloads}
+    got_pairs: dict[str, list[dict]] = {w: [] for w in workloads}
+    model = {w: {side: set() for side in roots} for w in workloads}
+    failed = 0
     print(f"other = {roots['other']}\nthis  = {ROOT}")
-    print(f"{'pair':>4}  {'first':<5}  {'other run_s':>11}  {'this run_s':>10}  {'this/other':>10}")
+    print(f"{'pair':>4}  {'first':<5}  {'workload':<10}  {'other run_s':>11}  {'this run_s':>10}  "
+          f"{'this/other':>10}")
     for k in range(args.repeats):
         order = ("other", "this") if k % 2 == 0 else ("this", "other")
-        got = {}
-        for side in order:
-            cmd = [sys.executable, str(roots[side] / "perfbench" / "run.py"),
-                   "--workload", args.workload, "--seed", str(SEED),
-                   "--seconds", str(args.seconds), "--trace", "0"]
-            one = run_once(cmd, timeout, cwd=roots[side])
-            if not succeeded(one):
-                failed += 1
+        for w in workloads:
+            got = {}
+            for side in order:
+                cmd = [sys.executable, str(roots[side] / "perfbench" / "run.py"),
+                       "--workload", w, "--seed", str(SEED),
+                       "--seconds", str(args.seconds), "--trace", "0"]
+                one = run_once(cmd, timeout, cwd=roots[side])
+                if not succeeded(one):
+                    failed += 1
+                    continue
+                got[side] = {m: one["report"]["metrics"][m]["value"] for m in END_TO_END}
+                for m in END_TO_END:
+                    values[w][side][m].append(got[side][m])
+                model[w][side].update(one["model"])
+            if len(got) < 2:
+                print(f"{k + 1:>4}  {order[0]:<5}  {w:<10}  a process failed")
                 continue
-            got[side] = one["report"]["metrics"]["run_s"]["value"]
-            run_s[side].append(got[side])
-            model[side].update(one["model"])
-        if len(got) < 2:
-            print(f"{k + 1:>4}  {order[0]:<5}  a process failed")
-            continue
-        complete += 1
-        wins += got["this"] < got["other"]
-        print(f"{k + 1:>4}  {order[0]:<5}  {got['other']:11.4f}  {got['this']:10.4f}  "
-              f"{got['this'] / got['other']:10.3f}", flush=True)
-    for side, values in run_s.items():
-        if values:
-            q = summary(values)
-            print(f"{side:<5} run_s median {q['median']:.4f} s, IQR {q['q1']:.4f}-{q['q3']:.4f} s "
-                  f"({q['q3'] - q['q1']:.4f} s), {len(values)} process(es)")
-    print(f"this checkout won {wins} of {complete} pair(s) on {args.workload} run_s")
-    print(f"model digest lines {'identical' if model['this'] == model['other'] else 'DIFFER'}")
+            got_pairs[w].append(got)
+            other, this = got["other"]["run_s"], got["this"]["run_s"]
+            print(f"{k + 1:>4}  {order[0]:<5}  {w:<10}  {other:11.4f}  {this:10.4f}  "
+                  f"{this / other:10.3f}", flush=True)
+    print(f"claim rule for a gain of this checkout: at least {CLAIM_WIN_SHARE:.0%} of the "
+          f"pairs won, and the medians' gap larger than the other checkout's IQR")
+    for w in workloads:
+        complete = len(got_pairs[w])
+        print(f"{w}: {complete} complete pair(s)")
+        print(f"  {'metric':<12} {'other median (IQR)':>26} {'this median (IQR)':>26} "
+              f"{'this/other':>10} {'won':>7}  claim rule")
+        for m in END_TO_END:
+            if not (values[w]["other"][m] and values[w]["this"][m]):
+                continue
+            q = {side: summary(values[w][side][m]) for side in roots}
+            wins = sum(END_TO_END[m] * (p["this"][m] - p["other"][m]) < 0 for p in got_pairs[w])
+            cells = [f"{q[side]['median']:.4f} ({q[side]['q1']:.4f}-{q[side]['q3']:.4f})"
+                     for side in roots]
+            print(f"  {m:<12} {cells[0]:>26} {cells[1]:>26} "
+                  f"{q['this']['median'] / q['other']['median']:10.3f} "
+                  f"{f'{wins}/{complete}':>7}  "
+                  f"{claim_verdict(m, wins, complete, q['other'], q['this'])}")
+        same = model[w]["this"] == model[w]["other"]
+        print(f"  model digest lines {'identical' if same else 'DIFFER'}")
     if failed:
         print(f"{failed} failed process(es)")
     return 1 if failed else 0
@@ -230,11 +266,12 @@ def main(argv=None) -> int:
     mode.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two BENCH files")
     mode.add_argument("--pairs", metavar="OTHER_CHECKOUT",
                       help="run alternating pairs of processes against another checkout")
-    parser.add_argument("--workload", choices=WORKLOADS, help="the workload of --pairs")
+    parser.add_argument("--workload", choices=WORKLOADS + ("all",),
+                        help="the workload of --pairs, or all of them")
     parser.add_argument("--repeats", type=int, default=5,
                         help="processes per workload and mode, or pairs with --pairs")
     parser.add_argument("--seconds", type=float,
-                        default=json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"],
+                        default=BENCHMARK["run_seconds"],
                         help="each process's time budget (default: BENCHMARK.json's)")
     args = parser.parse_args(argv)
     if args.compare:

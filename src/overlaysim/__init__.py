@@ -37,7 +37,6 @@ from .runtime import (
     DependenceRule,
     ExecutionTrace,
     GraphEdge,
-    IterCondition,
     TaskGraph,
     TaskInstance,
     TraceRecord,

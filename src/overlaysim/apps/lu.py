@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..overlay import IP_REGISTRY, Overlay, command
-from ..runtime import DependenceRule, IterCondition, TaskInstance, build_task_graph, depend, run
+from ..runtime import DependenceRule, TaskInstance, build_task_graph, depend, run
 from ..tensors import DEFAULT_DTYPE, TensorBuffer, bcropped
 
 # task kinds, by what each step does
@@ -67,7 +67,7 @@ def lu_rules() -> list[DependenceRule]:
     """Cross-queue ordering: same-iteration fan through the panels into the
     update, and the next factor waits on the previous update."""
     return [
-        depend(FACTOR, UPDATE, 1, IterCondition(">", 0)),
+        depend(FACTOR, UPDATE, 1),
         depend(ROW_SOLVE, FACTOR, 0),
         depend(COL_SOLVE, FACTOR, 0),
         depend(UPDATE, ROW_SOLVE, 0),

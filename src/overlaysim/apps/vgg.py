@@ -25,6 +25,11 @@ STAGE_OF_LAYER = (0, 0, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4)
 POOL_AFTER_LAYER = (1, 3, 6, 9, 12)
 KERNEL_SIZE = 3
 
+# task kinds, by layer
+CONV_KINDS = tuple(f"conv[{layer}]" for layer in range(CONV_LAYERS))
+POOL_KINDS = tuple(f"pool[{k}]" for k in range(POOL_LAYERS))
+FC_KINDS = tuple(f"fc[{k}]" for k in range(FC_LAYERS))
+
 
 @dataclass(frozen=True)
 class VggConfig:
@@ -140,10 +145,10 @@ def vgg_rules() -> list[DependenceRule]:
     """
     rules = []
     for k, layer in enumerate(POOL_AFTER_LAYER):
-        rules.append(depend(f"pool[{k}]", f"conv[{layer}]", 0))
+        rules.append(depend(POOL_KINDS[k], CONV_KINDS[layer], 0))
         if k < POOL_LAYERS - 1:
-            rules.append(depend(f"conv[{layer + 1}]", f"pool[{k}]", 0))
-    rules.append(depend("fc[0]", f"pool[{POOL_LAYERS - 1}]", 0))
+            rules.append(depend(CONV_KINDS[layer + 1], POOL_KINDS[k], 0))
+    rules.append(depend(FC_KINDS[0], POOL_KINDS[-1], 0))
     return rules
 
 
@@ -179,26 +184,36 @@ def vgg_generate_tasks(config: VggConfig, x: TensorBuffer, weights: VggWeights,
     dummy_out = y.view()
     conv_w = [w.view() for w in weights.conv]
     fc_w = [w.view() for w in weights.fc]
+    # the pool, if any, that follows each convolution layer
+    pool_after = [POOL_AFTER_LAYER.index(layer) if layer in POOL_AFTER_LAYER else None
+                  for layer in range(CONV_LAYERS)]
+    last_pool = POOL_LAYERS - 1
+    enqueue = overlay.enqueue
     tasks: list[TaskInstance] = []
     for i in range(config.batch):
+        # each map's DDR views, built once: pool_view is the last pool's
+        # output and the first FC layer's input, f0/f1 one FC layer's output
+        # and the next one's input
+        pool_view = cropped(pool_out, 3, i, 1)
+        f0_view, f1_view = cropped(f0, 1, i, 1), cropped(f1, 1, i, 1)
+        fc_in = (pool_view, f0_view, f1_view)
+        fc_out = (f0_view, f1_view, cropped(y, 1, i, 1))
         for layer in range(CONV_LAYERS):
             if layer == 0:
-                args = [cropped(x, 3, i, 1), dummy_out, conv_w[layer], False, True, True, False]
+                args = [cropped(x, 3, i, 1), dummy_out, conv_w[0], False, True, True, False]
             else:
                 args = [dummy_in, dummy_out, conv_w[layer], True, True, True, False]
-            tasks.append(overlay.enqueue(0, args, i, kind=f"conv[{layer}]"))
-            if layer in POOL_AFTER_LAYER:
-                k = POOL_AFTER_LAYER.index(layer)
-                if k < POOL_LAYERS - 1:
-                    tasks.append(overlay.enqueue(1, [dummy_out, True], i, kind=f"pool[{k}]"))
-                else:
-                    pool_view = cropped(pool_out, 3, i, 1)
-                    tasks.append(overlay.enqueue(1, [pool_view, False], i, kind=f"pool[{k}]"))
-        fc_in = [cropped(pool_out, 3, i, 1), cropped(f0, 1, i, 1), cropped(f1, 1, i, 1)]
-        fc_out = [cropped(f0, 1, i, 1), cropped(f1, 1, i, 1), cropped(y, 1, i, 1)]
+            tasks.append(enqueue(0, args, i, CONV_KINDS[layer]))
+            k = pool_after[layer]
+            if k is None:
+                continue
+            if k < last_pool:
+                tasks.append(enqueue(1, [dummy_out, True], i, POOL_KINDS[k]))
+            else:
+                tasks.append(enqueue(1, [pool_view, False], i, POOL_KINDS[k]))
         for k in range(FC_LAYERS):
             args = [fc_in[k], fc_out[k], fc_w[k], False, False, True, True]
-            tasks.append(overlay.enqueue(0, args, i, kind=f"fc[{k}]"))
+            tasks.append(enqueue(0, args, i, FC_KINDS[k]))
     return tasks, vgg_rules(), VggOutputs(pool_out, y)
 
 

@@ -288,8 +288,9 @@ def _squeeze_to(arr: np.ndarray, rank: int, what: str) -> np.ndarray:
     return arr
 
 
-def _conv2d_same(arr: np.ndarray, wt: np.ndarray) -> np.ndarray:
-    """Stride-1 cross-correlation with zero padding that preserves H x W.
+def _conv2d_same(arr: np.ndarray, wt: np.ndarray, relu: bool) -> np.ndarray:
+    """Stride-1 cross-correlation with zero padding that preserves H x W,
+    clamped at zero when relu is set.
 
     The taps run as one stacked matmul.  The map is padded once into an
     (H + Kh) x W' x Cin array, W' = W + Kw - 1.  Flattened over its pixels,
@@ -299,12 +300,14 @@ def _conv2d_same(arr: np.ndarray, wt: np.ndarray) -> np.ndarray:
     window by its tap's weights, and np.add.reduce sums the products over
     the leading tap axis, which numpy does one tap after the other onto the
     +0.0 initial value: the taps are summed in tap order from zero, as a
-    `+=` loop over the taps into a zeroed output sums them.  The W' - W
-    trailing columns of each row, which wrap around into the next row, are
-    sliced off.  The small maps of the VGG pipeline cost per call, not per
-    flop, so two numpy calls do the work of 2 Kh Kw.  The view comes from the
-    ndarray constructor, since as_strided costs more than a small map's
-    matmul.  im2col was not taken: it sums taps and channels together in
+    `+=` loop over the taps into a zeroed output sums them.  The ReLU runs
+    in place on that fresh contiguous sum, which gives the bytes of a clamp
+    of the sliced result into a new array, since the clamp is elementwise.
+    The W' - W trailing columns of each row, which wrap around into the
+    next row, are sliced off last.  The small maps of the VGG pipeline cost
+    per call, not per flop, so two numpy calls do the work of 2 Kh Kw.  The
+    view comes from the ndarray constructor, since as_strided costs more
+    than a small map's matmul.  im2col was not taken: it sums taps and channels together in
     BLAS order, so its bits differ, and its column temporary raises the
     process's peak memory.
 
@@ -328,6 +331,8 @@ def _conv2d_same(arr: np.ndarray, wt: np.ndarray) -> np.ndarray:
                          strides=(row, pixel, pixel, channel))
     prods = np.matmul(windows, wt).reshape(kh * kw, h * wide, cout)
     out = np.add.reduce(prods, axis=0, initial=0.0)
+    if relu:
+        np.maximum(out, 0.0, out=out)
     return out.reshape(h, wide, cout)[:, :w]
 
 
@@ -354,9 +359,9 @@ def convolution(x: BlockView, y: BlockView, w: BlockView,
     flattened and the weights act as an (out, in) matrix; is_fc_layer picks
     it.  Input comes from the feature buffer or the X view, output goes to
     the feature buffer or the Y view, as read_input_from_buffer and
-    store_output_to_buffer say; with_relu clamps the result at zero.  When a
-    flag routes I/O through the feature buffer the corresponding view
-    argument is ignored entirely.  Returns 2 x #weights flops for FC, else
+    store_output_to_buffer say; with_relu clamps the result at zero, in
+    place on the fresh result array.  When a flag routes I/O through the
+    feature buffer the corresponding view argument is ignored entirely.  Returns 2 x #weights flops for FC, else
     2 H W x #weights for the H x W map actually read.
     """
     if read_input_from_buffer:
@@ -369,14 +374,14 @@ def convolution(x: BlockView, y: BlockView, w: BlockView,
         if wt.shape[1] != vec.size:
             raise ShapeError(f"FC layer: weights expect {wt.shape[1]} inputs, got {vec.size}")
         out = wt @ vec
+        if with_relu:
+            np.maximum(out, 0.0, out=out)
         flops = 2 * wt.size
     else:
         arr = _squeeze_to(src, 3, "convolution input")
         wt = _squeeze_to(w.array(), 4, "convolution weights")
-        out = _conv2d_same(arr, wt)
+        out = _conv2d_same(arr, wt, with_relu)
         flops = 2 * arr.shape[0] * arr.shape[1] * wt.size
-    if with_relu:
-        out = np.maximum(out, 0)
     _deliver(out, y, store_output_to_buffer, fb)
     return flops
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable
 
 from . import kernels
@@ -87,14 +88,19 @@ class Overlay:
         needs_fb = any(ci.ip.uses_feature_buffer for ci in interfaces)
         self.feature_buffer: FeatureBuffer | None = FeatureBuffer() if needs_fb else None
         self._task_ids = itertools.count()
+        # per queue, once: its IP and where the views, flags and scalars sit
+        # in the IP's signature, the positions enqueue checks
+        self._params_of = {ci.queue_no: (ci.ip, *_positions_by_kind(ci.ip.signature))
+                           for ci in interfaces}
 
     def interface(self, queue_no: int) -> CommandInterface:
         try:
             return self.interfaces[queue_no]
         except KeyError:
-            raise InvocationError(
-                f"overlay {self.name!r} has no queue {queue_no}"
-            ) from None
+            raise self._no_queue(queue_no) from None
+
+    def _no_queue(self, queue_no) -> InvocationError:
+        return InvocationError(f"overlay {self.name!r} has no queue {queue_no}")
 
     def enqueue(self, queue_no: int, params, iteration: int,
                 kind: str | None = None) -> TaskInstance:
@@ -102,56 +108,61 @@ class Overlay:
 
         Nothing executes here: the task graph and scheduler decide ordering
         later.  Parameters are checked against the interface signature now so
-        a bad call fails at enqueue time, and the iteration and kind must be
-        an int and a string, the types a trace file carries.
+        a bad call fails at enqueue time (the views first, then the flags,
+        then the scalars), and the iteration and kind must be an int and a
+        string, the types a trace file carries.  A scalar is any real number
+        but a bool, and is stored as a Python float, so a numpy scalar cannot
+        promote a kernel's arithmetic past the operands' dtype: every scalar
+        of the same value gives the same bits.
         """
-        iface = self.interface(queue_no)
+        try:
+            ip, views, flags, scalars = self._params_of[queue_no]
+        except KeyError:
+            raise self._no_queue(queue_no) from None
         params = tuple(params)
-        sig = iface.ip.signature
-        if len(params) != len(sig):
+        if len(params) != len(ip.signature):
             raise InvocationError(
-                f"{iface.ip.name}: expected {len(sig)} parameters, got {len(params)}"
+                f"{ip.name}: expected {len(ip.signature)} parameters, got {len(params)}"
             )
-        for pos, (param, expect) in enumerate(zip(params, sig)):
-            if expect == "view" and not isinstance(param, BlockView):
+        for pos in views:
+            if not isinstance(params[pos], BlockView):
                 raise InvocationError(
-                    f"{iface.ip.name}: parameter {pos} must be a view, got {type(param).__name__}"
+                    f"{ip.name}: parameter {pos} must be a view, "
+                    f"got {type(params[pos]).__name__}"
                 )
-            if expect == "flag" and not isinstance(param, bool):
+        for pos in flags:
+            if not isinstance(params[pos], bool):
                 raise InvocationError(
-                    f"{iface.ip.name}: parameter {pos} must be a flag, got {param!r}"
+                    f"{ip.name}: parameter {pos} must be a flag, got {params[pos]!r}"
                 )
-            if expect == "scalar" and (isinstance(param, bool)
-                                       or not isinstance(param, (int, float))):
-                raise InvocationError(
-                    f"{iface.ip.name}: parameter {pos} must be a scalar, got {param!r}"
-                )
-        if "scalar" in sig:
-            # stored as Python floats, so a numpy scalar (np.float64 is a
-            # float) cannot promote a kernel's arithmetic past the operands'
-            # dtype: every scalar of the same value gives the same bits
-            try:
-                params = tuple(float(p) if kind == "scalar" else p
-                               for p, kind in zip(params, sig))
-            except OverflowError:
-                raise InvocationError(
-                    f"{iface.ip.name}: a scalar parameter does not fit in a float"
-                ) from None
+        if scalars:
+            params = list(params)
+            for pos in scalars:
+                param = params[pos]
+                if type(param) is float:
+                    continue
+                if isinstance(param, bool) or not isinstance(param, Real):
+                    raise InvocationError(
+                        f"{ip.name}: parameter {pos} must be a scalar, got {param!r}"
+                    )
+                try:
+                    params[pos] = float(param)
+                except OverflowError:
+                    raise InvocationError(
+                        f"{ip.name}: a scalar parameter does not fit in a float"
+                    ) from None
+            params = tuple(params)
         if type(iteration) is not int:
-            raise InvocationError(f"{iface.ip.name}: iteration must be an int, got {iteration!r}")
-        if kind is not None and not isinstance(kind, str):
-            raise InvocationError(f"{iface.ip.name}: kind must be a string, got {kind!r}")
+            raise InvocationError(f"{ip.name}: iteration must be an int, got {iteration!r}")
+        if kind is None:
+            kind = ip.name
+        elif not isinstance(kind, str):
+            raise InvocationError(f"{ip.name}: kind must be a string, got {kind!r}")
         # derived before the id is drawn: a call the kernel would reject
         # (a malformed panel raises ShapeError here) uses up no task id
-        access_sets = tuple(iface.ip.access_sets(params, self.feature_buffer))
-        return TaskInstance(
-            id=next(self._task_ids),
-            kind=kind if kind is not None else iface.ip.name,
-            queue_no=queue_no,
-            iteration=iteration,
-            args=params,
-            access_sets=access_sets,
-        )
+        access_sets = tuple(ip.access_sets(params, self.feature_buffer))
+        return TaskInstance(next(self._task_ids), kind, queue_no, iteration, params,
+                            access_sets)
 
     def manifest(self) -> dict:
         return {
@@ -166,6 +177,12 @@ class Overlay:
         with open(path, "w") as fh:
             json.dump(self.manifest(), fh, indent=2)
             fh.write("\n")
+
+
+def _positions_by_kind(signature) -> tuple[tuple[int, ...], ...]:
+    """The positions of the views, of the flags and of the scalars in a signature."""
+    return tuple(tuple(pos for pos, k in enumerate(signature) if k == kind)
+                 for kind in ("view", "flag", "scalar"))
 
 
 def load_overlay(path) -> Overlay:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -35,8 +36,7 @@ from .tensors import AccessSet, read_text
 VIRTUAL_TIME_DIVISOR = 1_000_000  # duration = max(1, flop estimate // divisor)
 
 
-@dataclass(frozen=True)
-class TaskInstance:
+class TaskInstance(NamedTuple):
     """One enqueued command: a kind tag, its queue, and bound arguments."""
 
     id: int
@@ -48,36 +48,19 @@ class TaskInstance:
 
 
 @dataclass(frozen=True)
-class IterCondition:
-    """Guard over the dependent task's iteration index: i > bound or i == bound."""
-
-    op: str
-    bound: int
-
-    def __post_init__(self):
-        if self.op not in (">", "=="):
-            raise RuleError(f"unsupported condition operator {self.op!r}")
-
-    def holds(self, i: int) -> bool:
-        return i > self.bound if self.op == ">" else i == self.bound
-
-
-@dataclass(frozen=True)
 class DependenceRule:
     """dependent_kind at iteration i depends on prerequisite_kind at i - distance."""
 
     dependent_kind: str
     prerequisite_kind: str
     distance: int
-    condition: IterCondition | None = None
 
 
-def depend(dependent_kind: str, prerequisite_kind: str, distance: int,
-           condition: IterCondition | None = None) -> DependenceRule:
+def depend(dependent_kind: str, prerequisite_kind: str, distance: int) -> DependenceRule:
     """Declare a dependence rule; distance counts iterations backwards."""
     if distance < 0:
         raise RuleError(f"dependence distance must be >= 0, got {distance}")
-    return DependenceRule(dependent_kind, prerequisite_kind, distance, condition)
+    return DependenceRule(dependent_kind, prerequisite_kind, distance)
 
 
 class GraphEdge(NamedTuple):
@@ -89,26 +72,33 @@ class GraphEdge(NamedTuple):
 class TaskGraph:
     """Acyclic task graph with queue-order chains embedded as edges.
 
-    Construction rejects a cycle with a witness and records `topo_order`, a
-    topological order of the task ids.
+    Construction rejects a cycle with a witness and records `topo_order`,
+    the topological order that always takes the lowest ready id, and
+    `indegree`, each task's count of distinct predecessors.
     """
 
     def __init__(self, tasks: list[TaskInstance], edges: list[GraphEdge]):
         self.tasks = list(tasks)
         self.edges = list(edges)
         self.by_id = {t.id: t for t in self.tasks}
-        self.preds: dict[int, set[int]] = {t.id: set() for t in self.tasks}
-        self.succs: dict[int, set[int]] = {t.id: set() for t in self.tasks}
-        for e in self.edges:
-            self.preds[e.dep].add(e.pre)
-            self.succs[e.pre].add(e.dep)
-        self.topo_order = self._topological_order()
+        self.preds: dict[int, set[int]] = {tid: set() for tid in self.by_id}
+        self.succs: dict[int, set[int]] = {tid: set() for tid in self.by_id}
+        forward = True
+        for pre, dep, _ in self.edges:
+            self.preds[dep].add(pre)
+            self.succs[pre].add(dep)
+            forward = forward and pre < dep
+        self.indegree = {tid: len(ps) for tid, ps in self.preds.items()}
+        # with every edge running from a lower id to a higher one, the lowest
+        # ready id is always the lowest id not yet taken: its predecessors
+        # all have lower ids, so all are taken already
+        self.topo_order = sorted(self.by_id) if forward else self._topological_order()
 
     def _topological_order(self) -> list[int]:
         """Kahn's algorithm; whatever cannot be peeled off sits on a cycle."""
         frontier = _Frontier(self)
         order: list[int] = []
-        while frontier:
+        while frontier.ready:
             order.append(frontier.pop())
             frontier.complete(order[-1])
         if len(order) != len(self.tasks):
@@ -118,34 +108,34 @@ class TaskGraph:
         return order
 
     def edge_pairs(self) -> list[tuple[int, int]]:
-        return sorted({(e.pre, e.dep) for e in self.edges})
+        """The distinct (pre, dep) pairs of the edges, in ascending order."""
+        return [(pre, dep) for pre in sorted(self.succs) for dep in sorted(self.succs[pre])]
 
 
 class _Frontier:
     """The tasks whose predecessors have all completed, as a min-heap of ids.
 
-    pop() takes out the lowest ready id; complete(tid) makes ready every
-    successor of tid that has no other predecessor left.  The counters count
-    distinct predecessors, since a rule edge and a queue-order edge may join
-    the same pair.
+    ready is the heap: pop() takes out the lowest ready id, and complete(tid)
+    makes ready every successor of tid that has no other predecessor left.
+    The counters, a copy of the graph's in-degrees, count distinct
+    predecessors, since a rule edge and a queue-order edge may join the same
+    pair.
     """
 
     def __init__(self, graph: TaskGraph):
         self.succs = graph.succs
-        self.waiting = {tid: len(ps) for tid, ps in graph.preds.items()}
-        self.ready = [tid for tid, d in self.waiting.items() if d == 0]
+        self.waiting = dict(graph.indegree)
+        self.ready = [tid for tid, d in self.waiting.items() if not d]
         heapq.heapify(self.ready)
-
-    def __bool__(self) -> bool:
-        return bool(self.ready)
 
     def pop(self) -> int:
         return heapq.heappop(self.ready)
 
     def complete(self, tid: int) -> None:
+        waiting = self.waiting
         for nxt in self.succs[tid]:
-            self.waiting[nxt] -= 1
-            if self.waiting[nxt] == 0:
+            left = waiting[nxt] = waiting[nxt] - 1
+            if not left:
                 heapq.heappush(self.ready, nxt)
 
 
@@ -172,35 +162,38 @@ def build_task_graph(tasks, rules) -> TaskGraph:
     inert.  Cycles are rejected with a witness (see TaskGraph).
     """
     tasks = list(tasks)
-    ids = [t.id for t in tasks]
-    if len(set(ids)) != len(ids):
+    if len({t.id for t in tasks}) != len(tasks):
         raise InvocationError("duplicate task ids in graph input")
-    by_slot: dict[tuple[str, int], list[TaskInstance]] = {}
-    for t in tasks:
-        by_slot.setdefault((t.kind, t.iteration), []).append(t)
-
-    rules_of: dict[str, list[DependenceRule]] = {}
+    rules_of: dict[str, list[tuple[str, int]]] = {}
     for rule in rules:
-        rules_of.setdefault(rule.dependent_kind, []).append(rule)
+        rules_of.setdefault(rule.dependent_kind, []).append(
+            (rule.prerequisite_kind, rule.distance))
+    # the ids of each (kind, iteration) slot that some rule points at
+    by_slot: dict[tuple[str, int], list[int]] = {}
+    prerequisite_kinds = {rule.prerequisite_kind for rule in rules}
+    for t in tasks:
+        if t.kind in prerequisite_kinds:
+            by_slot.setdefault((t.kind, t.iteration), []).append(t.id)
 
     edges: dict[tuple[int, int, str], None] = {}
     for t in tasks:
-        for rule in rules_of.get(t.kind, ()):
-            if rule.condition is not None and not rule.condition.holds(t.iteration):
-                continue
-            for pre in by_slot.get((rule.prerequisite_kind, t.iteration - rule.distance), []):
-                if pre.id == t.id:
-                    raise CyclicDependenceError([t.id, t.id])
-                edges[pre.id, t.id, "rule"] = None
+        for kind, distance in rules_of.get(t.kind, ()):
+            for pre in by_slot.get((kind, t.iteration - distance), ()):
+                if pre == t.id:
+                    raise CyclicDependenceError([pre, pre])
+                edges[pre, t.id, "rule"] = None
 
-    by_queue: dict[int, list[TaskInstance]] = {}
-    for t in sorted(tasks, key=lambda t: t.id):
-        by_queue.setdefault(t.queue_no, []).append(t)
-    for fifo in by_queue.values():
-        for earlier, later in zip(fifo, fifo[1:]):
-            edges[earlier.id, later.id, "queue-order"] = None
+    last_of_queue: dict[int, int] = {}
+    for t in sorted(tasks, key=_task_id):
+        earlier = last_of_queue.get(t.queue_no)
+        if earlier is not None:
+            edges[earlier, t.id, "queue-order"] = None
+        last_of_queue[t.queue_no] = t.id
 
-    return TaskGraph(tasks, [GraphEdge(*key) for key in edges])
+    return TaskGraph(tasks, list(map(GraphEdge._make, edges)))
+
+
+_task_id = attrgetter("id")
 
 
 @dataclass(frozen=True)
@@ -303,7 +296,11 @@ def run(overlay, graph: TaskGraph, worker_count: int = 1,
             raise DependenceConflictError(conflicts)
     # one lookup per queue, before any body runs
     bodies = {q: overlay.interface(q).ip.run for q in {t.queue_no for t in graph.tasks}}
+    fb = overlay.feature_buffer
+    by_id = graph.by_id
     frontier = _Frontier(graph)
+    ready, pop, complete = frontier.ready, frontier.pop, frontier.complete
+    heappop, heappush = heapq.heappop, heapq.heappush
     # ascending, hence a heap; lowest-first use never needs more slots than tasks
     free = list(range(min(worker_count, len(graph.tasks))))
     running: list[tuple[int, int, int]] = []  # (end, slot, task id)
@@ -311,23 +308,22 @@ def run(overlay, graph: TaskGraph, worker_count: int = 1,
     # slots fill, and every duration is at least 1
     records: list[TraceRecord] = []
     clock = 0
-    while frontier or running:
-        while frontier and free:
-            t = graph.by_id[frontier.pop()]
+    while ready or running:
+        while ready and free:
+            tid, kind, queue_no, iteration, args, _ = by_id[pop()]
             try:
-                flops = int(bodies[t.queue_no](t.args, overlay.feature_buffer))
+                flops = int(bodies[queue_no](args, fb))
             except Exception as exc:
-                raise TaskExecutionError(t.id, t.kind) from exc
-            slot = heapq.heappop(free)
+                raise TaskExecutionError(tid, kind) from exc
+            slot = heappop(free)
             end = clock + max(1, flops // VIRTUAL_TIME_DIVISOR)
-            records.append(TraceRecord(t.id, t.kind, t.iteration, t.queue_no,
-                                       clock, end, slot))
-            heapq.heappush(running, (end, slot, t.id))
+            records.append(TraceRecord(tid, kind, iteration, queue_no, clock, end, slot))
+            heappush(running, (end, slot, tid))
         clock = running[0][0]
         while running and running[0][0] == clock:
-            _, slot, tid = heapq.heappop(running)
-            heapq.heappush(free, slot)
-            frontier.complete(tid)
+            _, slot, tid = heappop(running)
+            heappush(free, slot)
+            complete(tid)
     if len(records) != len(graph.tasks):
         raise OverlayError("scheduler stalled with tasks remaining (graph inconsistent)")
     return ExecutionTrace(records=records, edges=graph.edge_pairs())

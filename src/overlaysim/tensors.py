@@ -9,7 +9,7 @@ can be taken without allocating element storage.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 
@@ -48,7 +48,8 @@ def _checked_shape(shape) -> tuple[int, ...]:
 class TensorBuffer:
     """Owned dense N-d float storage, row-major with the last axis fastest.
 
-    data is bound once: views store numpy windows of it.
+    data is bound once: views store numpy windows of it.  full_ranges is the
+    whole-buffer (0, extent) range of every axis, which crops splice into.
     """
 
     def __init__(self, data):
@@ -58,6 +59,7 @@ class TensorBuffer:
         _checked_shape(arr.shape)
         self.id = next_resource_id()
         self.data = arr
+        self.full_ranges = tuple((0, e) for e in arr.shape)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -69,7 +71,7 @@ class TensorBuffer:
 
     def view(self) -> "BlockView":
         """Whole-buffer view."""
-        return BlockView(self, tuple((0, e) for e in self.shape))
+        return BlockView(self, self.full_ranges)
 
     def __repr__(self):
         return f"TensorBuffer(id={self.id}, shape={self.shape}, dtype={self.dtype})"
@@ -88,35 +90,69 @@ def random_buffer(shape, lo: float, hi: float, seed: int, dtype=DEFAULT_DTYPE) -
     return TensorBuffer(rng.uniform(lo, hi, shape).astype(dtype))
 
 
-@dataclass(frozen=True)
-class BlockView:
+class _Frozen:
+    """Immutable slotted value, set once by its constructor.
+
+    Equality, hashing and repr follow the fields that _values() returns, in
+    the order FIELDS names them, as a frozen dataclass's do; assigning or
+    deleting an attribute raises dataclasses.FrozenInstanceError, as it does
+    for one.  Constructors set their slots through the slot descriptors.
+    """
+
+    __slots__ = ()
+    FIELDS: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        raise NotImplementedError
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.FIELDS, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class BlockView(_Frozen):
     """Rectangular window into a TensorBuffer; never copies element storage.
 
     elem_ranges is one half-open (start, stop) pair per buffer axis.  Ranges
     are validated eagerly so a bad crop fails at construction, not when some
     task finally runs.  The numpy window is taken at construction too and
-    stored, since a buffer's array is never replaced; it takes no part in
-    equality, hashing or repr.
+    stored, since a buffer's array is never replaced, and so are the view's
+    access sets, one per mode, as access_set() first asks for them; neither
+    takes part in equality, hashing or repr.
     """
 
-    buffer: TensorBuffer
-    elem_ranges: tuple[tuple[int, int], ...]
-    _window: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ("buffer", "elem_ranges", "_window", "_access")
+    FIELDS = ("buffer", "elem_ranges")
 
-    def __post_init__(self):
-        data = self.buffer.data
-        if len(self.elem_ranges) != data.ndim:
+    def _values(self) -> tuple:
+        return self.buffer, self.elem_ranges
+
+    def __init__(self, buffer: TensorBuffer, elem_ranges: tuple[tuple[int, int], ...]):
+        data = buffer.data
+        if len(elem_ranges) != data.ndim:
             raise InvalidCropError(
-                f"{len(self.elem_ranges)} ranges for a rank-{data.ndim} buffer"
+                f"{len(elem_ranges)} ranges for a rank-{data.ndim} buffer"
             )
         index = []
-        for axis, ((lo, hi), extent) in enumerate(zip(self.elem_ranges, data.shape)):
-            if lo < 0 or hi > extent or lo >= hi:
-                raise InvalidCropError(
-                    f"axis {axis}: range [{lo}, {hi}) invalid for extent {extent}"
-                )
+        for axis, ((lo, hi), extent) in enumerate(zip(elem_ranges, data.shape)):
+            _check_range(axis, lo, hi, extent)
             index.append(slice(lo, hi))
-        object.__setattr__(self, "_window", data[tuple(index)])
+        _fill_view(self, buffer, elem_ranges, data[tuple(index)])
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -129,6 +165,31 @@ class BlockView:
     def to_buffer_coord(self, coord) -> tuple[int, ...]:
         """Translate a view coordinate into the owning buffer's coordinate."""
         return tuple(lo + c for c, (lo, _) in zip(coord, self.elem_ranges))
+
+
+_ALL = slice(None)
+
+
+def _check_range(axis: int, lo: int, hi: int, extent: int) -> None:
+    if lo < 0 or hi > extent or lo >= hi:
+        raise InvalidCropError(f"axis {axis}: range [{lo}, {hi}) invalid for extent {extent}")
+
+
+_set_buffer, _set_elem_ranges, _set_window, _set_access = (
+    getattr(BlockView, name).__set__ for name in BlockView.__slots__)
+
+
+def _fill_view(view: BlockView, buffer: TensorBuffer, elem_ranges, window: np.ndarray):
+    _set_buffer(view, buffer)
+    _set_elem_ranges(view, elem_ranges)
+    _set_window(view, window)
+    _set_access(view, {})
+    return view
+
+
+def _checked_view(buffer: TensorBuffer, elem_ranges, window: np.ndarray) -> BlockView:
+    """A view whose ranges the caller has already checked, and its window."""
+    return _fill_view(object.__new__(BlockView), buffer, elem_ranges, window)
 
 
 def bcropped(buf: TensorBuffer, m: int, start_row: int, end_row: int,
@@ -152,20 +213,22 @@ def bcropped(buf: TensorBuffer, m: int, start_row: int, end_row: int,
             raise InvalidCropError(
                 f"{name} blocks [{start}, {end}] out of range for {count} blocks"
             )
-    ranges = ((start_row * m, (end_row + 1) * m), (start_col * m, (end_col + 1) * m))
-    return BlockView(buf, ranges)
+    # in range by the block checks above
+    (r0, r1), (c0, c1) = ranges = ((start_row * m, (end_row + 1) * m),
+                                   (start_col * m, (end_col + 1) * m))
+    return _checked_view(buf, ranges, buf.data[r0:r1, c0:c1])
 
 
 def cropped(buf: TensorBuffer, axis: int, start: int, extent: int) -> BlockView:
     """Restrict a single axis to [start, start+extent); all other axes stay full."""
-    rank = len(buf.shape)
+    full = buf.full_ranges
+    rank = len(full)
     if axis < 0 or axis >= rank:
         raise InvalidCropError(f"axis {axis} out of range for rank-{rank} buffer")
-    ranges = tuple(
-        (start, start + extent) if a == axis else (0, e)
-        for a, e in enumerate(buf.shape)
-    )
-    return BlockView(buf, ranges)
+    stop = start + extent
+    _check_range(axis, start, stop, full[axis][1])  # every other axis stays full
+    ranges = full[:axis] + ((start, stop),) + full[axis + 1:]
+    return _checked_view(buf, ranges, buf.data[(_ALL,) * axis + (slice(start, stop),)])
 
 
 def ranges_intersection(a, b):
@@ -179,21 +242,22 @@ def ranges_intersection(a, b):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class AccessSet:
+class AccessSet(_Frozen):
     """The element ranges one task touches in one buffer, tagged read/write."""
 
-    buffer_id: int
-    ranges: tuple[tuple[int, int], ...]
-    mode: str
+    __slots__ = ("buffer_id", "ranges", "mode", "writes")
+    FIELDS = ("buffer_id", "ranges", "mode")
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise InvalidCropError(f"unknown access mode {self.mode!r}")
+    def __init__(self, buffer_id: int, ranges: tuple[tuple[int, int], ...], mode: str):
+        if mode not in MODES:
+            raise InvalidCropError(f"unknown access mode {mode!r}")
+        _set_buffer_id(self, buffer_id)
+        _set_ranges(self, ranges)
+        _set_mode(self, mode)
+        _set_writes(self, mode != READ)
 
-    @property
-    def writes(self) -> bool:
-        return self.mode != READ
+    def _values(self) -> tuple:
+        return self.buffer_id, self.ranges, self.mode
 
     def conflict(self, other: "AccessSet"):
         """The region both sets touch when they share a buffer and at least
@@ -203,9 +267,20 @@ class AccessSet:
         return ranges_intersection(self.ranges, other.ranges)
 
 
+_set_buffer_id, _set_ranges, _set_mode, _set_writes = (
+    getattr(AccessSet, name).__set__ for name in AccessSet.__slots__)
+
+
 def access_set(view: BlockView, mode: str) -> AccessSet:
-    """The exact element ranges a view exposes, tagged with an access mode."""
-    return AccessSet(view.buffer.id, view.elem_ranges, mode)
+    """The exact element ranges a view exposes, tagged with an access mode.
+
+    Made once per view and mode, then handed back from the view's store.
+    """
+    stored = view._access
+    acc = stored.get(mode)
+    if acc is None:
+        acc = stored[mode] = AccessSet(view.buffer.id, view.elem_ranges, mode)
+    return acc
 
 
 def read_text(path) -> str:

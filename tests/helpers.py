@@ -102,6 +102,34 @@ def reference_conflicts(graph):
     return conflicts
 
 
+def reference_topological_order(ids, edges):
+    """Kahn's algorithm on a min-heap of ready ids, the pass TaskGraph ran for
+    every graph before it took the sorted ids of a forward-only one.
+
+    Takes the task ids and the (pre, dep) edges, repeats allowed.  Returns
+    the lowest-id topological order, or the shorter prefix peeled off before
+    the tasks left all sit on or behind a cycle.
+    """
+    succs = {tid: set() for tid in ids}
+    for pre, dep in set(edges):
+        succs[pre].add(dep)
+    waiting = {tid: 0 for tid in ids}
+    for deps in succs.values():
+        for dep in deps:
+            waiting[dep] += 1
+    ready = [tid for tid, d in waiting.items() if d == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        tid = heapq.heappop(ready)
+        order.append(tid)
+        for nxt in succs[tid]:
+            waiting[nxt] -= 1
+            if waiting[nxt] == 0:
+                heapq.heappush(ready, nxt)
+    return order
+
+
 def reference_virtual_schedule(graph, flops, worker_count):
     """The queue-scanning replay: a task is eligible when it heads its queue,
     has not started and all its predecessors are done.
@@ -174,8 +202,8 @@ def reference_threaded_execute(overlay, graph, worker_count):
     flops: dict[int, int] = {}
     with ThreadPoolExecutor(max_workers=worker_count) as pool:
         try:
-            while frontier or in_flight:
-                while frontier:
+            while frontier.ready or in_flight:
+                while frontier.ready:
                     t = graph.by_id[frontier.pop()]
                     iface = overlay.interface(t.queue_no)
                     in_flight[pool.submit(iface.ip.run, t.args, overlay.feature_buffer)] = t

@@ -557,6 +557,36 @@ class TestConvolution:
         got = conv_of_crop(x0, w0, 1)
         assert np.all(got == 0.0) and not np.any(np.signbit(got))
 
+    @pytest.mark.parametrize("is_fc, store", [(False, False), (False, True), (True, False)])
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_in_place_relu_keeps_the_bytes_of_a_fresh_clamp(self, is_fc, store, data):
+        """The ReLU clamps the kernel's own result array in place; the bytes
+        it delivers, to a view or to the feature buffer, are those of
+        np.maximum(result, 0) into a new array, on maps and weights holding
+        -0.0 and NaN."""
+        special = st.sampled_from([0.0, -0.0, float("nan"), 1.0, -1.0, 0.5])
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        h, w, cin, cout = (data.draw(st.integers(1, 4)) for _ in range(4))
+        x0 = np.array(data.draw(st.lists(special, min_size=h * w * cin, max_size=h * w * cin)),
+                      dtype=dtype).reshape(h, w, cin)
+        w_shape = (cout, h * w * cin) if is_fc else (3, 3, cin, cout)
+        size = int(np.prod(w_shape))
+        w0 = np.array(data.draw(st.lists(special, min_size=size, max_size=size)),
+                      dtype=dtype).reshape(w_shape)
+        out_shape = (cout,) if is_fc else (h, w, cout)
+
+        def delivered(with_relu):
+            fb = fresh_fb()
+            y = TensorBuffer(np.zeros(out_shape, dtype=dtype)).view()
+            convolution(TensorBuffer(x0).view(), y, TensorBuffer(w0).view(),
+                        False, store, with_relu, is_fc, fb)
+            return fb.slot if store else y.array()
+
+        with np.errstate(invalid="ignore"):
+            plain, clamped = delivered(False), delivered(True)
+            assert clamped.tobytes() == np.maximum(plain, 0).tobytes()
+
 
 # ties, signed zeros and the default NaN, where the order of the maxima shows
 POOL_SPECIAL_VALUES = [0.0, -0.0, float("nan"), 1.0, -1.0, 2.0]

@@ -73,9 +73,15 @@ class TestTaskGeneration:
         assert len(cross) == 1
         assert cross[0].dependent_kind == "factor"
         assert cross[0].prerequisite_kind == "update"
-        assert cross[0].condition is not None and cross[0].condition.holds(1)
-        assert not cross[0].condition.holds(0)
         assert all(r.distance == 0 for r in rules if r is not cross[0])
+
+    def test_first_factor_has_no_rule_predecessor(self):
+        """Iteration 0 has no update at iteration -1, so the distance-1 rule
+        is inert there without any guard."""
+        tasks, rules = lu_generate_tasks(make_problem(3, 2), lu_overlay())
+        graph = build_task_graph(tasks, rules)
+        first = next(t for t in tasks if t.kind == "factor" and t.iteration == 0)
+        assert not [e for e in graph.edges if e.dep == first.id]
 
 
 class TestAccessFootprints:

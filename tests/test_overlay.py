@@ -1,6 +1,7 @@
 """Overlay construction, manifests, and the enqueue surface."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -194,6 +195,26 @@ class TestEnqueue:
                  bcropped(buf, 2, 0, 0, 1, 1)]
         with pytest.raises(errors.InvocationError):
             ov.enqueue(3, views + [10 ** 400, 1.0, 1.0], 0)
+
+    @pytest.mark.parametrize("coeff", [np.float32(0.5), np.int64(2), np.float64(0.25), 3,
+                                       Fraction(1, 4)])
+    def test_any_real_scalar_is_stored_as_a_python_float(self, coeff):
+        ov = lu_overlay()
+        buf = new_buffer([4, 4])
+        views = [bcropped(buf, 2, 1, 1, 1, 1), bcropped(buf, 2, 1, 1, 0, 0),
+                 bcropped(buf, 2, 0, 0, 1, 1)]
+        task = ov.enqueue(3, views + [coeff, -1.0, 1.0], 0)
+        assert type(task.args[3]) is float and task.args[3] == float(coeff)
+
+    @pytest.mark.parametrize("coeff", [True, np.bool_(True), 1j, "1.0", None])
+    def test_bool_and_non_real_scalars_refused(self, coeff):
+        ov = lu_overlay()
+        buf = new_buffer([4, 4])
+        views = [bcropped(buf, 2, 1, 1, 1, 1), bcropped(buf, 2, 1, 1, 0, 0),
+                 bcropped(buf, 2, 0, 0, 1, 1)]
+        with pytest.raises(errors.InvocationError, match="parameter 3 must be a scalar"):
+            ov.enqueue(3, views + [coeff, -1.0, 1.0], 0)
+        assert ov.enqueue(3, views + [1.0, -1.0, 1.0], 0).id == 0
 
     def test_unknown_queue(self):
         ov = lu_overlay()

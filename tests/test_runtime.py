@@ -23,7 +23,6 @@ from overlaysim.apps import (
 )
 from overlaysim.overlay import IpDescriptor, Overlay, command
 from overlaysim.runtime import (
-    IterCondition,
     build_task_graph,
     check_dependence_sufficiency,
     depend,
@@ -33,6 +32,7 @@ from overlaysim.runtime import (
     validate_trace,
     ExecutionTrace,
     GraphEdge,
+    TaskGraph,
     TaskInstance,
     TraceRecord,
 )
@@ -43,6 +43,7 @@ from helpers import (
     noop_overlay,
     reference_conflicts,
     reference_threaded_execute,
+    reference_topological_order,
     reference_virtual_schedule,
 )
 
@@ -58,16 +59,6 @@ class TestDepend:
     def test_negative_distance(self):
         with pytest.raises(errors.RuleError):
             depend("a", "b", -1)
-
-    def test_condition_ops(self):
-        assert IterCondition(">", 0).holds(1)
-        assert not IterCondition(">", 0).holds(0)
-        assert IterCondition("==", 2).holds(2)
-        assert not IterCondition("==", 2).holds(3)
-
-    def test_unsupported_op(self):
-        with pytest.raises(errors.RuleError):
-            IterCondition("<", 0)
 
 
 class TestBuildTaskGraph:
@@ -109,14 +100,6 @@ class TestBuildTaskGraph:
         graph = build_task_graph([a, b], [depend("b", "a", 2)])
         assert graph.edge_pairs() == []
 
-    def test_condition_guards_edge_creation(self):
-        ov = noop_overlay(1)
-        tasks = [ov.enqueue(0, [], i, kind="t") for i in range(3)]
-        graph = build_task_graph(tasks, [depend("t", "t", 1, IterCondition(">", 1))])
-        rule_edges = {(e.pre, e.dep) for e in graph.edges if e.provenance == "rule"}
-        # only i=2 passes the guard
-        assert rule_edges == {(tasks[1].id, tasks[2].id)}
-
     def test_duplicate_task_ids_rejected(self):
         ov1, ov2 = noop_overlay(1), noop_overlay(1)
         t1 = ov1.enqueue(0, [], 0)
@@ -129,7 +112,7 @@ class TestBuildTaskGraph:
 @given(st.data())
 @settings(max_examples=60)
 def test_distance_semantics(data):
-    """Every rule edge joins iterations exactly distance apart, where the guard holds."""
+    """Every rule edge joins iterations exactly distance apart."""
     n_kinds = data.draw(st.integers(1, 3))
     iters = data.draw(st.integers(1, 5))
     ov = noop_overlay(n_kinds)
@@ -144,19 +127,13 @@ def test_distance_semantics(data):
             if pre_k < dep_k and data.draw(st.booleans()):
                 rules.append(depend(f"k{dep_k}", f"k{pre_k}", 0))
             if data.draw(st.booleans()):
-                d = data.draw(st.integers(1, 2))
-                cond = None
-                if data.draw(st.booleans()):
-                    cond = IterCondition(">", data.draw(st.integers(0, 3)))
-                rules.append(depend(f"k{dep_k}", f"k{pre_k}", d, cond))
+                rules.append(depend(f"k{dep_k}", f"k{pre_k}", data.draw(st.integers(1, 2))))
     graph = build_task_graph(tasks, rules)
     by_slot = {(t.kind, t.iteration): t for t in tasks}
     expected = set()
     for rule in rules:
         for t in tasks:
             if t.kind != rule.dependent_kind:
-                continue
-            if rule.condition is not None and not rule.condition.holds(t.iteration):
                 continue
             pre = by_slot.get((rule.prerequisite_kind, t.iteration - rule.distance))
             if pre is not None:
@@ -291,12 +268,7 @@ def draw_random_graph(data, max_access_sets=3):
             if rank[pre_k] < rank[dep_k] and data.draw(st.booleans()):
                 rules.append(depend(f"k{dep_k}", f"k{pre_k}", 0))
             if data.draw(st.booleans()):
-                cond = None
-                if data.draw(st.booleans()):
-                    cond = IterCondition(data.draw(st.sampled_from([">", "=="])),
-                                         data.draw(st.integers(0, 3)))
-                rules.append(depend(f"k{dep_k}", f"k{pre_k}", data.draw(st.integers(1, 2)),
-                                    cond))
+                rules.append(depend(f"k{dep_k}", f"k{pre_k}", data.draw(st.integers(1, 2))))
     return build_task_graph(tasks, rules)
 
 
@@ -305,6 +277,63 @@ def draw_random_graph(data, max_access_sets=3):
 def test_checker_matches_reference_on_random_graphs(data):
     graph = draw_random_graph(data)
     assert check_dependence_sufficiency(graph) == reference_conflicts(graph)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_topological_order_matches_kahn_reference(data):
+    """TaskGraph's order is the heap-based Kahn pass's on random graphs with
+    gaps in the ids, whether every edge runs forward (the sorted-ids
+    shortcut), edges follow a random rank (back edges, no cycle) or edges
+    are arbitrary (often a cycle, which is rejected with a witness)."""
+    ids = data.draw(st.lists(st.integers(0, 60), min_size=1, max_size=16, unique=True))
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                               max_size=30))
+    shape = data.draw(st.sampled_from(["forward", "ranked", "arbitrary"]))
+    if shape == "forward":
+        pairs = [(a, b) for a, b in pairs if a < b]
+    elif shape == "ranked":
+        rank = dict(zip(ids, data.draw(st.permutations(range(len(ids))))))
+        pairs = [(a, b) for a, b in pairs if rank[a] < rank[b]]
+    tasks = [TaskInstance(tid, "k", 0, 0, (tid,)) for tid in ids]
+    edges = [GraphEdge(a, b, data.draw(st.sampled_from(["rule", "queue-order"])))
+             for a, b in pairs]
+    expected = reference_topological_order(ids, pairs)
+    if len(expected) < len(ids):
+        with pytest.raises(errors.CyclicDependenceError) as exc:
+            TaskGraph(tasks, edges)
+        cycle = exc.value.cycle
+        assert cycle[0] == cycle[-1]
+        assert set(zip(cycle, cycle[1:])) <= set(pairs)
+        return
+    graph = TaskGraph(tasks, edges)
+    assert graph.topo_order == expected
+    assert graph.edge_pairs() == sorted(set(pairs))
+    assert graph.indegree == {tid: len({a for a, b in pairs if b == tid}) for tid in ids}
+
+
+class TestTaskInstance:
+    def test_fields_default_and_repr(self):
+        t = TaskInstance(3, "k", 1, 2, ("a",))
+        assert TaskInstance._fields == ("id", "kind", "queue_no", "iteration", "args",
+                                        "access_sets")
+        assert t.access_sets == ()
+        assert repr(t) == ("TaskInstance(id=3, kind='k', queue_no=1, iteration=2, "
+                           "args=('a',), access_sets=())")
+        assert t == TaskInstance(3, "k", 1, 2, ("a",), ()) and hash(t) == hash(
+            TaskInstance(3, "k", 1, 2, ("a",), ()))
+        with pytest.raises(AttributeError):
+            t.kind = "other"
+
+    def test_every_task_has_its_own_args_tuple(self):
+        """One args object per task, for LU and for VGG, so a kernel call can
+        be mapped back to its task by the identity of its args."""
+        _, _, lu_tasks, _ = lu_setup(4, 2)
+        config = tiny_config(3)
+        vgg_tasks, _, _ = vgg_generate_tasks(config, random_input(config, 0),
+                                             seeded_weights(config, 1), vgg_overlay())
+        for tasks in (lu_tasks, vgg_tasks):
+            assert len({id(t.args) for t in tasks}) == len(tasks)
 
 
 def flops_overlay(flops):

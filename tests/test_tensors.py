@@ -1,5 +1,7 @@
 """Buffers, views, access sets, and the tensor-text file format."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +152,92 @@ def test_view_equality_ignores_the_stored_window():
     assert a == BlockView(buf, ((0, 2), (1, 4))) and hash(a) == hash(BlockView(buf, a.elem_ranges))
     assert a != b
     assert repr(a) == f"BlockView(buffer={buf!r}, elem_ranges=((0, 2), (1, 4)))"
+
+
+# the frozen dataclasses BlockView and AccessSet once were, window left out
+@dataclasses.dataclass(frozen=True)
+class DataclassView:
+    buffer: object
+    elem_ranges: tuple
+
+
+@dataclasses.dataclass(frozen=True)
+class DataclassAccessSet:
+    buffer_id: int
+    ranges: tuple
+    mode: str
+
+
+@pytest.mark.parametrize("make, make_old", [
+    (lambda buf, r: BlockView(buf, r), DataclassView),
+    (lambda buf, r: AccessSet(buf.id, r, READ), lambda buf, r: DataclassAccessSet(buf.id, r, READ)),
+])
+def test_slotted_values_behave_as_frozen_dataclasses(make, make_old):
+    """Equality, hashing, repr and assignment are the frozen dataclass's."""
+    buf = new_buffer([4, 4])
+    ranges, other = ((0, 2), (1, 4)), ((0, 2), (0, 4))
+    value, old = make(buf, ranges), make_old(buf, ranges)
+    assert value == make(buf, ranges) and hash(value) == hash(make(buf, ranges))
+    assert hash(value) == hash(old)
+    assert value != make(buf, other)
+    assert value != old and value != dataclasses.astuple(old)
+    assert repr(value) == type(value).__name__ + repr(old)[len(type(old).__name__):]
+    for name in (*type(value).FIELDS, "unknown"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)
+    assert value == make(buf, ranges)
+
+
+def test_access_set_is_stored_per_view_and_mode():
+    buf = new_buffer([4, 4])
+    view = bcropped(buf, 2, 0, 0, 0, 1)
+    assert access_set(view, READ) is access_set(view, READ)
+    assert access_set(view, WRITE) is not access_set(view, READ)
+    twin = bcropped(buf, 2, 0, 0, 0, 1)
+    assert access_set(twin, READ) == access_set(view, READ)
+    assert access_set(twin, READ) is not access_set(view, READ)
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_crops_match_the_checked_constructor(data):
+    """cropped and bcropped build their views without BlockView's checks;
+    each gives the view, window and error that BlockView gives for the
+    same ranges."""
+    rank = data.draw(st.integers(1, 4))
+    shape = tuple(data.draw(st.integers(1, 5)) for _ in range(rank))
+    buf = random_buffer(shape, -1, 1, seed=0)
+    axis = data.draw(st.integers(0, rank - 1))
+    start, extent = data.draw(st.integers(-1, 6)), data.draw(st.integers(-1, 6))
+    ranges = tuple((start, start + extent) if a == axis else (0, e) for a, e in enumerate(shape))
+    expect_error = None
+    try:
+        expect = BlockView(buf, ranges)
+    except errors.InvalidCropError as exc:
+        expect_error = str(exc)
+    if expect_error is not None:
+        with pytest.raises(errors.InvalidCropError) as exc:
+            cropped(buf, axis, start, extent)
+        assert str(exc.value) == expect_error
+    else:
+        view = cropped(buf, axis, start, extent)
+        assert view == expect and view.shape == expect.shape
+        assert np.shares_memory(view.array(), expect.array())
+        np.testing.assert_array_equal(view.array(), expect.array())
+
+    m = data.draw(st.integers(1, 3))
+    blocks = new_buffer([m * data.draw(st.integers(1, 3)), m * data.draw(st.integers(1, 3))])
+    nrow, ncol = (e // m for e in blocks.shape)
+    r0 = data.draw(st.integers(0, nrow - 1))
+    r1 = data.draw(st.integers(r0, nrow - 1))
+    c0 = data.draw(st.integers(0, ncol - 1))
+    c1 = data.draw(st.integers(c0, ncol - 1))
+    view = bcropped(blocks, m, r0, r1, c0, c1)
+    expect = BlockView(blocks, ((r0 * m, (r1 + 1) * m), (c0 * m, (c1 + 1) * m)))
+    assert view == expect and view.shape == expect.shape
+    assert np.shares_memory(view.array(), blocks.data)
 
 
 class TestAccessSets:

@@ -97,7 +97,7 @@ class TestTaskGeneration:
     def test_rules_are_ten_distance_zero_handoffs(self):
         rules = vgg_rules()
         assert len(rules) == 10
-        assert all(r.distance == 0 and r.condition is None for r in rules)
+        assert all(r.distance == 0 for r in rules)
         pairs = {(r.dependent_kind, r.prerequisite_kind) for r in rules}
         assert ("pool[0]", "conv[1]") in pairs
         assert ("conv[2]", "pool[0]") in pairs
