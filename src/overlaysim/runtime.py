@@ -5,10 +5,11 @@ distance-d dependence rules between task kinds, and the FIFO order of each
 command queue.  One rule decides when a task may start: all its graph
 predecessors have completed.  Queue order needs nothing more, since the FIFO
 edges make such a task the oldest unfinished one of its queue.  A single Kahn
-frontier applies the rule for the topological order and for the one
-scheduling loop in run(), a list-scheduling replay in virtual time that runs
-each task body, on the calling thread, when it starts the task on one of
-worker_count virtual IP slots.  Traces report the virtual times, computed
+frontier applies the rule in the one scheduling loop in run(), a
+list-scheduling replay in virtual time that runs each task body, on the
+calling thread, when it starts the task on one of worker_count virtual IP
+slots, and for the topological order of a graph with an edge from a higher
+id to a lower one (with none, that order is the sorted ids).  Traces report the virtual times, computed
 from the kernels' work estimates, not wall-clock times; the loop starts the
 lowest ready id on the lowest free slot, and tasks whose virtual end times
 are equal complete together.

@@ -93,17 +93,17 @@ def random_buffer(shape, lo: float, hi: float, seed: int, dtype=DEFAULT_DTYPE) -
 class _Frozen:
     """Immutable slotted value, set once by its constructor.
 
-    Equality, hashing and repr follow the fields that _values() returns, in
-    the order FIELDS names them, as a frozen dataclass's do; assigning or
-    deleting an attribute raises dataclasses.FrozenInstanceError, as it does
-    for one.  Constructors set their slots through the slot descriptors.
+    Equality, hashing and repr follow the fields FIELDS names, in order, as
+    a frozen dataclass's do; assigning or deleting an attribute raises
+    dataclasses.FrozenInstanceError, as it does for one.  Constructors set
+    their slots through the slot descriptors.
     """
 
     __slots__ = ()
     FIELDS: tuple[str, ...] = ()
 
     def _values(self) -> tuple:
-        raise NotImplementedError
+        return tuple(getattr(self, name) for name in self.FIELDS)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -138,9 +138,6 @@ class BlockView(_Frozen):
 
     __slots__ = ("buffer", "elem_ranges", "_window", "_access")
     FIELDS = ("buffer", "elem_ranges")
-
-    def _values(self) -> tuple:
-        return self.buffer, self.elem_ranges
 
     def __init__(self, buffer: TensorBuffer, elem_ranges: tuple[tuple[int, int], ...]):
         data = buffer.data
@@ -255,9 +252,6 @@ class AccessSet(_Frozen):
         _set_ranges(self, ranges)
         _set_mode(self, mode)
         _set_writes(self, mode != READ)
-
-    def _values(self) -> tuple:
-        return self.buffer_id, self.ranges, self.mode
 
     def conflict(self, other: "AccessSet"):
         """The region both sets touch when they share a buffer and at least
