@@ -307,9 +307,9 @@ def _conv2d_same(arr: np.ndarray, wt: np.ndarray, relu: bool) -> np.ndarray:
     next row, are sliced off last.  The small maps of the VGG pipeline cost
     per call, not per flop, so two numpy calls do the work of 2 Kh Kw.  The
     view comes from the ndarray constructor, since as_strided costs more
-    than a small map's matmul.  im2col was not taken: it sums taps and channels together in
-    BLAS order, so its bits differ, and its column temporary raises the
-    process's peak memory.
+    than a small map's matmul.  im2col was not taken: it sums taps and
+    channels together in BLAS order, so its bits differ, and its column
+    temporary raises the process's peak memory.
 
     The bits equal those of that loop with one `@` per tap on a window of the
     padded map (tests/helpers.reference_conv2d_taps) on every conv layer
@@ -361,8 +361,9 @@ def convolution(x: BlockView, y: BlockView, w: BlockView,
     the feature buffer or the Y view, as read_input_from_buffer and
     store_output_to_buffer say; with_relu clamps the result at zero, in
     place on the fresh result array.  When a flag routes I/O through the
-    feature buffer the corresponding view argument is ignored entirely.  Returns 2 x #weights flops for FC, else
-    2 H W x #weights for the H x W map actually read.
+    feature buffer the corresponding view argument is ignored entirely.
+    Returns 2 x #weights flops for FC, else 2 H W x #weights for the H x W
+    map actually read.
     """
     if read_input_from_buffer:
         src = _stored_map(fb, "convolution")

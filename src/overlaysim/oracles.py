@@ -18,7 +18,7 @@ _ORACLE_EPS = {np.dtype(np.float64): 1e-12, np.dtype(np.float32): 1e-6}
 
 
 def _as_array(x) -> np.ndarray:
-    return x.data if hasattr(x, "data") and isinstance(getattr(x, "data"), np.ndarray) else np.asarray(x)
+    return x.data if isinstance(getattr(x, "data", None), np.ndarray) else np.asarray(x)
 
 
 def oracle_lu(a) -> np.ndarray:

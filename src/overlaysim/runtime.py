@@ -9,10 +9,10 @@ frontier applies the rule in the one scheduling loop in run(), a
 list-scheduling replay in virtual time that runs each task body, on the
 calling thread, when it starts the task on one of worker_count virtual IP
 slots, and for the topological order of a graph with an edge from a higher
-id to a lower one (with none, that order is the sorted ids).  Traces report the virtual times, computed
-from the kernels' work estimates, not wall-clock times; the loop starts the
-lowest ready id on the lowest free slot, and tasks whose virtual end times
-are equal complete together.
+id to a lower one (with none, that order is the sorted ids).  Traces report
+the virtual times, computed from the kernels' work estimates, not wall-clock
+times; the loop starts the lowest ready id on the lowest free slot, and tasks
+whose virtual end times are equal complete together.
 """
 
 from __future__ import annotations
@@ -397,6 +397,8 @@ def validate_trace(trace: ExecutionTrace) -> list[str]:
             problems.append(f"task {r.id}: vend {r.vend} before vstart {r.vstart}")
         elif r.vend == r.vstart:
             problems.append(f"task {r.id}: zero length at vstart {r.vstart}")
+        if r.worker < 0:
+            problems.append(f"task {r.id}: worker {r.worker} is negative")
     starts = [r.vstart for r in trace.records]
     if starts != sorted(starts):
         problems.append("records are not in virtual-start order")
@@ -404,9 +406,6 @@ def validate_trace(trace: ExecutionTrace) -> list[str]:
         groups: dict[int, list[TraceRecord]] = {}
         for r in trace.records:
             groups.setdefault(getattr(r, unit), []).append(r)
-        if unit == "worker":
-            problems += [f"task {r.id}: worker {r.worker} is negative"
-                         for r in trace.records if r.worker < 0]
         for g, recs in groups.items():
             for a, b in zip(recs, recs[1:]):
                 if a.vend > b.vstart:

@@ -9,7 +9,7 @@ can be taken without allocating element storage.
 from __future__ import annotations
 
 import itertools
-from dataclasses import FrozenInstanceError
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,42 +90,8 @@ def random_buffer(shape, lo: float, hi: float, seed: int, dtype=DEFAULT_DTYPE) -
     return TensorBuffer(rng.uniform(lo, hi, shape).astype(dtype))
 
 
-class _Frozen:
-    """Immutable slotted value, set once by its constructor.
-
-    Equality, hashing and repr follow the fields FIELDS names, in order, as
-    a frozen dataclass's do; assigning or deleting an attribute raises
-    dataclasses.FrozenInstanceError, as it does for one.  Constructors set
-    their slots through the slot descriptors.
-    """
-
-    __slots__ = ()
-    FIELDS: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.FIELDS)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}"
-                           for name, value in zip(self.FIELDS, self._values()))
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-class BlockView(_Frozen):
+@dataclass(frozen=True)
+class BlockView:
     """Rectangular window into a TensorBuffer; never copies element storage.
 
     elem_ranges is one half-open (start, stop) pair per buffer axis.  Ranges
@@ -133,14 +99,17 @@ class BlockView(_Frozen):
     task finally runs.  The numpy window is taken at construction too and
     stored, since a buffer's array is never replaced, and so are the view's
     access sets, one per mode, as access_set() first asks for them; neither
-    takes part in equality, hashing or repr.
+    is a field, so neither takes part in equality, hashing or repr.
     """
 
     __slots__ = ("buffer", "elem_ranges", "_window", "_access")
-    FIELDS = ("buffer", "elem_ranges")
 
-    def __init__(self, buffer: TensorBuffer, elem_ranges: tuple[tuple[int, int], ...]):
-        data = buffer.data
+    buffer: TensorBuffer
+    elem_ranges: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        data = self.buffer.data
+        elem_ranges = self.elem_ranges
         if len(elem_ranges) != data.ndim:
             raise InvalidCropError(
                 f"{len(elem_ranges)} ranges for a rank-{data.ndim} buffer"
@@ -149,7 +118,8 @@ class BlockView(_Frozen):
         for axis, ((lo, hi), extent) in enumerate(zip(elem_ranges, data.shape)):
             _check_range(axis, lo, hi, extent)
             index.append(slice(lo, hi))
-        _fill_view(self, buffer, elem_ranges, data[tuple(index)])
+        _set_window(self, data[tuple(index)])
+        _set_access(self, {})
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -176,17 +146,14 @@ _set_buffer, _set_elem_ranges, _set_window, _set_access = (
     getattr(BlockView, name).__set__ for name in BlockView.__slots__)
 
 
-def _fill_view(view: BlockView, buffer: TensorBuffer, elem_ranges, window: np.ndarray):
+def _checked_view(buffer: TensorBuffer, elem_ranges, window: np.ndarray) -> BlockView:
+    """A view whose ranges the caller has already checked, and its window."""
+    view = object.__new__(BlockView)
     _set_buffer(view, buffer)
     _set_elem_ranges(view, elem_ranges)
     _set_window(view, window)
     _set_access(view, {})
     return view
-
-
-def _checked_view(buffer: TensorBuffer, elem_ranges, window: np.ndarray) -> BlockView:
-    """A view whose ranges the caller has already checked, and its window."""
-    return _fill_view(object.__new__(BlockView), buffer, elem_ranges, window)
 
 
 def bcropped(buf: TensorBuffer, m: int, start_row: int, end_row: int,
@@ -239,30 +206,30 @@ def ranges_intersection(a, b):
     return tuple(out)
 
 
-class AccessSet(_Frozen):
+@dataclass(frozen=True)
+class AccessSet:
     """The element ranges one task touches in one buffer, tagged read/write."""
 
-    __slots__ = ("buffer_id", "ranges", "mode", "writes")
-    FIELDS = ("buffer_id", "ranges", "mode")
+    __slots__ = ("buffer_id", "ranges", "mode")
 
-    def __init__(self, buffer_id: int, ranges: tuple[tuple[int, int], ...], mode: str):
-        if mode not in MODES:
-            raise InvalidCropError(f"unknown access mode {mode!r}")
-        _set_buffer_id(self, buffer_id)
-        _set_ranges(self, ranges)
-        _set_mode(self, mode)
-        _set_writes(self, mode != READ)
+    buffer_id: int
+    ranges: tuple[tuple[int, int], ...]
+    mode: str
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise InvalidCropError(f"unknown access mode {self.mode!r}")
+
+    @property
+    def writes(self) -> bool:
+        return self.mode != READ
 
     def conflict(self, other: "AccessSet"):
         """The region both sets touch when they share a buffer and at least
         one writes; None otherwise, including when the ranges are disjoint."""
-        if self.buffer_id != other.buffer_id or not (self.writes or other.writes):
+        if self.buffer_id != other.buffer_id or self.mode == other.mode == READ:
             return None
         return ranges_intersection(self.ranges, other.ranges)
-
-
-_set_buffer_id, _set_ranges, _set_mode, _set_writes = (
-    getattr(AccessSet, name).__set__ for name in AccessSet.__slots__)
 
 
 def access_set(view: BlockView, mode: str) -> AccessSet:

@@ -172,6 +172,29 @@ class TestSufficiency:
         assert hits[0].overlap == ((m, 2 * m), (m, 2 * m))
         assert hits[0].buffer_id == problem.a.id
 
+    def test_conflict_report_text(self):
+        problem, _, tasks, rules = lu_setup(3, 2)
+        weakened = [r for r in rules if not (r.dependent_kind == "factor"
+                                             and r.prerequisite_kind == "update")]
+        conflicts = check_dependence_sufficiency(build_task_graph(tasks, weakened))
+        b = problem.a.id
+        assert [c.describe() for c in conflicts] == [
+            f"tasks 3 and 4 touch buffer {b} region [2,4) x [2,4) as read_write/read_write "
+            "with no ordering",
+            f"tasks 3 and 5 touch buffer {b} region [2,4) x [2,4) as read_write/read "
+            "with no ordering",
+            f"tasks 3 and 5 touch buffer {b} region [2,4) x [4,6) as read_write/read_write "
+            "with no ordering",
+            f"tasks 3 and 6 touch buffer {b} region [2,4) x [2,4) as read_write/read "
+            "with no ordering",
+            f"tasks 3 and 6 touch buffer {b} region [4,6) x [2,4) as read_write/read_write "
+            "with no ordering",
+            f"tasks 3 and 8 touch buffer {b} region [4,6) x [4,6) as read_write/read_write "
+            "with no ordering",
+            f"tasks 7 and 8 touch buffer {b} region [4,6) x [4,6) as read_write/read_write "
+            "with no ordering",
+        ]
+
     def test_agrees_with_element_level_brute_force(self):
         for n, m in [(2, 2), (3, 2), (3, 4)]:
             _, _, tasks, rules = lu_setup(n, m)
@@ -640,6 +663,12 @@ class TestTraceFiles:
         assert path.read_text() == ""
         assert parse_trace(path).records == []
 
+    def test_one_record_without_edges_round_trips(self, tmp_path):
+        trace = ExecutionTrace([TraceRecord(0, "k", 0, 0, 0, 1, 0)], [])
+        path = tmp_path / "t.trace"
+        emit_trace(trace, path)
+        assert parse_trace(path) == trace
+
     def test_lu_n2_trace_has_five_records(self, tmp_path):
         _, overlay, tasks, rules = lu_setup(2, 2)
         graph = build_task_graph(tasks, rules)
@@ -745,6 +774,25 @@ class TestTraceFiles:
         rs = [TraceRecord(4, "k", 0, 0, 0, 1, -3)]
         problems = validate_trace(ExecutionTrace(rs, []))
         assert problems == ["task 4: worker -3 is negative"]
+
+    def test_validate_reports_negative_workers_with_the_record_checks(self):
+        rs = [TraceRecord(5, "k", 0, 0, 2, 3, -1), TraceRecord(4, "k", 0, 0, 0, 1, 0)]
+        problems = validate_trace(ExecutionTrace(rs, []))
+        assert problems == ["task 5: worker -1 is negative",
+                            "records are not in virtual-start order",
+                            "queue 0: tasks 5 and 4 overlap in virtual time",
+                            "queue 0: tasks 5 and 4 violate FIFO order"]
+
+    def test_validate_catches_fifo_violation(self):
+        rs = [TraceRecord(1, "k", 0, 0, 0, 1, 0), TraceRecord(0, "k", 0, 0, 1, 2, 0)]
+        problems = validate_trace(ExecutionTrace(rs, []))
+        assert problems == ["queue 0: tasks 1 and 0 violate FIFO order"]
+
+    @pytest.mark.parametrize("edge", [(9, 0), (0, 9)], ids=["pre", "dep"])
+    def test_validate_reports_an_edge_with_one_unknown_end(self, edge):
+        rs = [TraceRecord(0, "k", 0, 0, 0, 1, 0)]
+        problems = validate_trace(ExecutionTrace(rs, [edge]))
+        assert problems == [f"edge {edge} references an unknown task"]
 
     def test_validate_catches_edge_violation(self):
         rs = [TraceRecord(0, "k", 0, 0, 0, 2, 0), TraceRecord(1, "k", 0, 1, 0, 2, 1)]

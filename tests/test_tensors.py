@@ -77,11 +77,20 @@ class TestBcropped:
         with pytest.raises(errors.BlockMisalignmentError):
             bcropped(buf, 3, 0, 0, 0, 0)
 
+    @pytest.mark.parametrize("shape", [[6, 4], [4, 6]], ids=["rows", "cols"])
+    def test_one_misaligned_axis(self, shape):
+        with pytest.raises(errors.BlockMisalignmentError):
+            bcropped(new_buffer(shape), 4, 0, 0, 0, 0)
+
     @pytest.mark.parametrize("args", [(1, 0, 0, 0), (0, 0, 2, 1), (0, 2, 0, 0), (-1, 0, 0, 0)])
     def test_bad_block_ranges(self, args):
         buf = new_buffer([4, 4])
         with pytest.raises(errors.InvalidCropError):
             bcropped(buf, 2, *args)
+
+    def test_row_blocks_past_the_buffer(self):
+        with pytest.raises(errors.InvalidCropError, match="row blocks"):
+            bcropped(new_buffer([4, 4]), 2, 1, 2, 0, 0)
 
     def test_rank2_only(self):
         with pytest.raises(errors.InvalidCropError):
@@ -154,7 +163,8 @@ def test_view_equality_ignores_the_stored_window():
     assert repr(a) == f"BlockView(buffer={buf!r}, elem_ranges=((0, 2), (1, 4)))"
 
 
-# the frozen dataclasses BlockView and AccessSet once were, window left out
+# plain frozen dataclasses with BlockView's and AccessSet's fields, the reference
+# for their equality, hashing and repr
 @dataclasses.dataclass(frozen=True)
 class DataclassView:
     buffer: object
@@ -168,11 +178,12 @@ class DataclassAccessSet:
     mode: str
 
 
-@pytest.mark.parametrize("make, make_old", [
-    (lambda buf, r: BlockView(buf, r), DataclassView),
-    (lambda buf, r: AccessSet(buf.id, r, READ), lambda buf, r: DataclassAccessSet(buf.id, r, READ)),
+@pytest.mark.parametrize("make, make_old, fields", [
+    (lambda buf, r: BlockView(buf, r), DataclassView, ("buffer", "elem_ranges")),
+    (lambda buf, r: AccessSet(buf.id, r, READ), lambda buf, r: DataclassAccessSet(buf.id, r, READ),
+     ("buffer_id", "ranges", "mode")),
 ])
-def test_slotted_values_behave_as_frozen_dataclasses(make, make_old):
+def test_slotted_values_behave_as_frozen_dataclasses(make, make_old, fields):
     """Equality, hashing, repr and assignment are the frozen dataclass's."""
     buf = new_buffer([4, 4])
     ranges, other = ((0, 2), (1, 4)), ((0, 2), (0, 4))
@@ -182,12 +193,21 @@ def test_slotted_values_behave_as_frozen_dataclasses(make, make_old):
     assert value != make(buf, other)
     assert value != old and value != dataclasses.astuple(old)
     assert repr(value) == type(value).__name__ + repr(old)[len(type(old).__name__):]
-    for name in (*type(value).FIELDS, "unknown"):
+    for name in (*fields, "unknown"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(value, name, None)
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(value, name)
     assert value == make(buf, ranges)
+
+
+def test_stored_and_derived_attributes_are_frozen():
+    view, acc = BlockView(new_buffer([2]), ((0, 2),)), AccessSet(0, ((0, 2),), READ)
+    for value, name in ((view, "_window"), (view, "_access"), (acc, "writes")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)
 
 
 def test_access_set_is_stored_per_view_and_mode():
@@ -273,6 +293,10 @@ class TestAccessSets:
         with pytest.raises(errors.InvalidCropError):
             access_set(new_buffer([4]).view(), "modify")
 
+    @pytest.mark.parametrize("mode, writes", [(READ, False), (WRITE, True), (READ_WRITE, True)])
+    def test_writes_follows_the_mode(self, mode, writes):
+        assert AccessSet(0, ((0, 4),), mode).writes is writes
+
 
 @given(st.data())
 @settings(max_examples=120)
@@ -324,6 +348,12 @@ class TestTensorText:
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2 2 1.0 2.0 3.0 4.0\n")
+        with pytest.raises(errors.ParseError):
+            read_tensor_text(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("")
         with pytest.raises(errors.ParseError):
             read_tensor_text(path)
 
