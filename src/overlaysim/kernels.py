@@ -3,13 +3,16 @@ on-chip feature buffer model.
 
 The four dense linear-algebra kernels update their operands in place: results
 land in the same storage the input views expose.  The LU factor and the two
-panel solves are recursive blocked algorithms: above BLOCK rows or columns
-they split in half, so that almost all of their flops run as numpy matmuls,
-and at BLOCK or below they run the row (or column) loops they replace.  A
-block of order BLOCK or less therefore gives bit-identical results to those
-loops.  Both panel solves go through one lower triangular solver, with a unit
-or a stored diagonal; the column panel solves U^T X^T = T^T on transposed
-views.  The CNN kernels route their input/output through either DDR views or
+panel solves are recursive blocked algorithms.  A block of order BLOCK or less
+runs the row (or column, or rank-1) loop the recursion replaced, and so gives
+the loop's bits.  Above BLOCK a block splits in half, and the off-diagonal
+work becomes one matmul.  Inside the recursion each triangular solve of order
+BLOCK or less is one more matmul, by the inverse of its triangle, and each
+factor of that order runs the rank-1 loop.  Both panel solves go through one
+lower triangular solver, with a unit or a stored diagonal; the column panel
+solves U^T X^T = T^T on transposed views.  A stored diagonal is checked
+against the pivot epsilon row by row in the loop, and a whole leaf at a time
+inside the recursion, before the leaf writes anything.  The CNN kernels route their input/output through either DDR views or
 the single-slot feature buffer, which holds the stored result array itself.
 
 Every kernel takes a task's arguments as the task tuple carries them: views,
@@ -52,8 +55,8 @@ def pivot_epsilon(dtype) -> float:
     return PIVOT_EPSILON[np.dtype(dtype)]
 
 
-# order at or below which the triangular solves and the LU factor run their
-# row/column loops instead of splitting in half
+# order at or below which the triangular solves and the LU factor stop
+# splitting in half
 BLOCK = 32
 
 
@@ -104,31 +107,76 @@ def _lower_solve(lower: np.ndarray, x: np.ndarray, eps: float | None = None,
 
     With eps None, L has an implicit unit diagonal and only the strict lower
     triangle is read.  Otherwise the diagonal is read and divided out, and a
-    diagonal entry below eps raises SingularPivotError(offset + r) before row r
-    of x is written.  Above BLOCK rows the solve splits in half and the
-    off-diagonal block becomes one matmul.
+    diagonal entry below eps raises SingularPivotError(offset + r).  A solve
+    of order BLOCK or less runs the row loop, which checks each diagonal entry
+    before row r of x is written.  Above BLOCK rows the solve splits in half:
+    the off-diagonal block becomes one matmul, and each leaf of order BLOCK
+    or less another, by the inverse of its triangle (_inverse_leaf).  A leaf
+    checks its whole diagonal before it writes any row of its part of x; the
+    leaves before it have been written by then.
     """
+    if lower.shape[0] <= BLOCK:
+        _row_loop(lower, x, eps, offset)
+    else:
+        _split_solve(lower, x, eps, offset)
+
+
+def _row_loop(lower: np.ndarray, x: np.ndarray, eps: float | None, offset: int) -> None:
+    """_lower_solve by forward substitution, one row of x at a time."""
+    # a dense copy in x's own memory order: the row loop then streams, and
+    # runs the same BLAS calls as it would on x itself
+    slab = x.copy(order="K")
+    for r in range(lower.shape[0]):
+        if eps is not None:
+            diag = lower[r, r]
+            if abs(diag) < eps:
+                raise SingularPivotError(offset + r, float(diag))
+        if r:
+            slab[r, :] -= lower[r, :r] @ slab[:r, :]
+        if eps is not None:
+            slab[r, :] /= diag
+    x[...] = slab
+
+
+def _split_solve(lower: np.ndarray, x: np.ndarray, eps: float | None, offset: int) -> None:
+    """_lower_solve halved down to leaves of order BLOCK or less."""
     n = lower.shape[0]
     if n <= BLOCK:
-        # a dense copy in x's own memory order: the row loop then streams,
-        # and runs the same BLAS calls as it would on x itself
-        slab = x.copy(order="K")
-        for r in range(n):
-            if eps is not None:
-                diag = lower[r, r]
-                if abs(diag) < eps:
-                    raise SingularPivotError(offset + r, float(diag))
-            if r:
-                slab[r, :] -= lower[r, :r] @ slab[:r, :]
-            if eps is not None:
-                slab[r, :] /= diag
-        x[...] = slab
+        _inverse_leaf(lower, x, eps, offset)
         return
     h = n // 2
-    _lower_solve(lower[:h, :h], x[:h], eps, offset)
+    _split_solve(lower[:h, :h], x[:h], eps, offset)
     # the product in x's memory order, so the subtraction streams
     x[h:] -= np.matmul(lower[h:, :h], x[:h], out=np.empty_like(x[h:]))
-    _lower_solve(lower[h:, h:], x[h:], eps, offset + h)
+    _split_solve(lower[h:, h:], x[h:], eps, offset + h)
+
+
+def _inverse_leaf(lower: np.ndarray, x: np.ndarray, eps: float | None, offset: int) -> None:
+    """_lower_solve as one matmul by the inverse of L.
+
+    np.tril zeroes the triangle that is not read, so whatever it holds, NaN
+    included, stays out of the product.  np.linalg.inv pivots, and raises on
+    some triangles the row loop solves, such as a unit triangle with an inf
+    below its diagonal; that leaf then runs the row loop.  A NaN or inf that
+    does reach the product can make more of the leaf non-finite than the
+    row loop would, since the inverse's zeros times inf are NaN.
+    """
+    if eps is None:
+        tri = np.tril(lower, -1)
+        np.fill_diagonal(tri, 1)
+    else:
+        diag = np.diagonal(lower)
+        small = np.flatnonzero(np.abs(diag) < eps)
+        if small.size:
+            r = small[0]
+            raise SingularPivotError(offset + int(r), float(diag[r]))
+        tri = np.tril(lower)
+    try:
+        inverse = np.linalg.inv(tri)
+    except np.linalg.LinAlgError:
+        _row_loop(lower, x, eps, offset)
+        return
+    x[...] = np.matmul(inverse, x, out=np.empty_like(x))
 
 
 def _lu_factor(a: np.ndarray, eps: float, offset: int) -> None:
@@ -139,13 +187,15 @@ def _lu_factor(a: np.ndarray, eps: float, offset: int) -> None:
             pivot = a[k, k]
             if abs(pivot) < eps:
                 raise SingularPivotError(offset + k, float(pivot))
-            a[k + 1:, k] /= pivot
-            a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
+            col = a[k + 1:, k]
+            col /= pivot
+            # the products np.outer(col, a[k, k + 1:]) forms, without its copies
+            a[k + 1:, k + 1:] -= col[:, None] * a[k, k + 1:]
         return
     h = m // 2
     _lu_factor(a[:h, :h], eps, offset)
-    _lower_solve(a[:h, :h], a[:h, h:])
-    _lower_solve(a[:h, :h].T, a[h:, :h].T, eps, offset)  # X U = T  <=>  U^T X^T = T^T
+    _split_solve(a[:h, :h], a[:h, h:], None, 0)
+    _split_solve(a[:h, :h].T, a[h:, :h].T, eps, offset)  # X U = T  <=>  U^T X^T = T^T
     a[h:, h:] -= a[h:, :h] @ a[:h, h:]
     _lu_factor(a[h:, h:], eps, offset + h)
 

@@ -121,6 +121,11 @@ class BlockView:
         _set_window(self, data[tuple(index)])
         _set_access(self, {})
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, since the default
+        # slot-state restore would assign through the frozen __setattr__
+        return BlockView, (self.buffer, self.elem_ranges)
+
     @property
     def shape(self) -> tuple[int, ...]:
         return self._window.shape
@@ -219,6 +224,9 @@ class AccessSet:
     def __post_init__(self):
         if self.mode not in MODES:
             raise InvalidCropError(f"unknown access mode {self.mode!r}")
+
+    def __reduce__(self):
+        return AccessSet, (self.buffer_id, self.ranges, self.mode)
 
     @property
     def writes(self) -> bool:

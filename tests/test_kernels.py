@@ -157,7 +157,8 @@ class TestTransformColumnPanel:
 def embedded(arr, seed):
     """A view of arr inside a larger buffer, so kernels see strided rows."""
     rows, cols = arr.shape
-    buf = TensorBuffer(np.random.default_rng(seed).uniform(-1, 1, (rows + 3, cols + 5)))
+    pad = np.random.default_rng(seed).uniform(-1, 1, (rows + 3, cols + 5))
+    buf = TensorBuffer(pad.astype(arr.dtype))
     buf.data[1:rows + 1, 2:cols + 2] = arr
     return BlockView(buf, ((1, rows + 1), (2, cols + 2)))
 
@@ -194,7 +195,7 @@ class TestBlockedAgainstLoops:
         if min(arr.shape) <= LOOP_ORDER:
             np.testing.assert_array_equal(got, want)
         else:
-            assert relative_error(got, want) <= 1e-12
+            assert relative_error(got, want) <= (1e-12 if arr.dtype == np.float64 else 1e-5)
 
     @given(BLOCK_ORDERS, st.integers(0, 2 ** 31))
     @settings(max_examples=40, deadline=None)
@@ -214,6 +215,20 @@ class TestBlockedAgainstLoops:
         rest = np.random.default_rng(seed).uniform(-1, 1, ((k - 1) * m, m))
         panel = np.vstack([factored(m, seed), rest])
         self.check(transform_column_panel, reference_transform_column_panel, panel, seed)
+
+    @pytest.mark.parametrize("kernel", ["lu", "row", "column"])
+    @given(st.integers(LOOP_ORDER + 1, 100), st.sampled_from([2, 3]), st.integers(0, 2 ** 31))
+    @settings(max_examples=15, deadline=None)
+    def test_float32_above_loop_order(self, kernel, m, k, seed):
+        rest = np.random.default_rng(seed).uniform(-1, 1, ((k - 1) * m, m))
+        kernel, reference, arr = {
+            "lu": (lu_factor_block, reference_lu_factor_block, dominant(m, seed)),
+            "row": (transform_row_panel, reference_transform_row_panel,
+                    np.hstack([factored(m, seed), rest.T])),
+            "column": (transform_column_panel, reference_transform_column_panel,
+                       np.vstack([factored(m, seed), rest])),
+        }[kernel]
+        self.check(kernel, reference, arr.astype(np.float32), seed)
 
 
 class TestHeadBlockAboveBlock:
@@ -251,10 +266,12 @@ class TestHeadBlockAboveBlock:
             np.s_[:m, :], np.s_[m:, :], np.tril(np.ones((m, m), dtype=bool), -1))
 
     def assert_pivot(self, kernel, arr, index):
+        view = embedded(arr, seed=6)
         with pytest.raises(errors.SingularPivotError) as exc:
-            kernel(embedded(arr, seed=6))
+            kernel(view)
         assert exc.value.index == index
         assert abs(exc.value.value) < 1e-12
+        return view.array()
 
     @pytest.mark.parametrize("m, index", [(64, 40), (130, 100)])
     def test_lu_zero_pivot_index_on_diagonal(self, m, index):
@@ -275,6 +292,44 @@ class TestHeadBlockAboveBlock:
         head[45, 45] = 0.0
         rest = np.random.default_rng(9).uniform(-1, 1, (2 * m, m))
         self.assert_pivot(transform_column_panel, np.vstack([head, rest]), 45)
+
+    @pytest.mark.parametrize("pivot", [0.0, 1e-14])
+    def test_column_panel_zero_diagonal_in_a_later_leaf(self, pivot):
+        """Order 100 halves into leaves of order 25.  The pivot at 70 lies in
+        the third leaf, which raises before it writes any of its columns.
+        With U's top right quarter zero, nothing else writes them either.
+        A pivot of 1e-14 leaves the triangle invertible, so only the check
+        can catch it."""
+        m = 100
+        head = factored(m, 10)
+        head[:50, 50:] = 0.0
+        head[70, 70] = pivot
+        panel = np.vstack([head, np.random.default_rng(11).uniform(-1, 1, (m, m))])
+        out = self.assert_pivot(transform_column_panel, panel, 70)
+        np.testing.assert_array_equal(out[m:, 50:], panel[m:, 50:])
+        assert not np.array_equal(out[m:, :50], panel[m:, :50])
+
+    def test_lu_zero_pivot_in_a_later_leaf(self):
+        rng = np.random.default_rng(12)
+        lower = np.tril(rng.uniform(-0.1, 0.1, (100, 100)), -1) + np.eye(100)
+        upper = np.triu(rng.uniform(-1, 1, (100, 100))) + 4 * np.eye(100)
+        upper[70, 70] = 0.0
+        self.assert_pivot(lu_factor_block, lower @ upper, 70)
+
+    def test_row_panel_with_inf_below_the_diagonal(self):
+        """np.linalg.inv raises on a unit triangle with an inf below its
+        diagonal.  That leaf runs the row loop instead: the kernel raises
+        nothing, and the rows above the inf stay finite."""
+        m = self.M
+        head = factored(m, 13)
+        head[10, 3] = np.inf
+        panel = np.hstack([head, np.random.default_rng(14).uniform(-1, 1, (m, 2 * m))])
+        view = embedded(panel, seed=1)
+        with np.errstate(invalid="ignore"):
+            assert transform_row_panel(view) == m * m * 2 * m
+        out = view.array()[:, m:]
+        assert np.all(np.isfinite(out[:10]))
+        assert not np.all(np.isfinite(out[10:]))
 
 
 COEFFICIENTS = st.one_of(st.sampled_from([1, -1, 0, 0.5, 2]),

@@ -1,6 +1,8 @@
 """Buffers, views, access sets, and the tensor-text file format."""
 
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -208,6 +210,24 @@ def test_stored_and_derived_attributes_are_frozen():
             setattr(value, name, None)
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(value, name)
+
+
+def test_copies_and_pickles_rebuild_through_the_constructor():
+    buf = new_buffer([4, 4])
+    view = bcropped(buf, 2, 1, 1, 0, 1)
+    acc = access_set(view, READ_WRITE)
+    for value in (view, acc):
+        twin = copy.copy(value)
+        assert twin == value and hash(twin) == hash(value)
+    twin = pickle.loads(pickle.dumps(acc))
+    assert twin == acc and hash(twin) == hash(acc)
+    # a pickled view brings its own copy of the buffer: it equals a view of that copy
+    twin = pickle.loads(pickle.dumps(view))
+    again = BlockView(twin.buffer, view.elem_ranges)
+    assert twin == again and hash(twin) == hash(again)
+    assert twin.elem_ranges == view.elem_ranges
+    assert np.shares_memory(twin.array(), twin.buffer.data)
+    np.testing.assert_array_equal(twin.array(), view.array())
 
 
 def test_access_set_is_stored_per_view_and_mode():
