@@ -295,6 +295,14 @@ def gemm(c: BlockView, a: BlockView, b: BlockView,
     `alpha * C + beta * (A @ (gamma * B))`, since x*1 = x and c + (-1*p) =
     c - p exactly.  B is scaled even when gamma is 1: a strided B handed
     straight to the matmul can take another BLAS path and change the bits.
+
+    The passes over C run with numpy's ufunc buffer set to 64 elements.  C is
+    a crop of a larger buffer, with rows shorter than the default 8192-element
+    buffer, and numpy then runs an in-place ufunc on it through that buffer,
+    two to four times slower than on contiguous storage; a small buffer lets
+    it stream the rows in place.  The passes stay elementwise and in the same
+    order, so the bits do not change.  The old size is put back in a
+    `finally`, since numpy 1.x's errstate does not restore it.
     """
     for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
         if not math.isfinite(value):
@@ -302,14 +310,18 @@ def gemm(c: BlockView, a: BlockView, b: BlockView,
     gemm_access_sets(c, a, b, alpha, beta, gamma)
     cm, am, bm = c.array(), a.array(), b.array()
     prod = am @ (gamma * bm)
-    if alpha != 1:
-        cm *= alpha
-    if beta == -1:
-        cm -= prod
-    else:
-        if beta != 1:
-            prod *= beta
-        cm += prod
+    old = np.setbufsize(64)
+    try:
+        if alpha != 1:
+            cm *= alpha
+        if beta == -1:
+            cm -= prod
+        else:
+            if beta != 1:
+                prod *= beta
+            cm += prod
+    finally:
+        np.setbufsize(old)
     return 2 * am.shape[0] * am.shape[1] * bm.shape[1]
 
 

@@ -74,8 +74,9 @@ class TaskGraph:
     """Acyclic task graph with queue-order chains embedded as edges.
 
     Construction rejects a cycle with a witness and records `topo_order`,
-    the topological order that always takes the lowest ready id, and
-    `indegree`, each task's count of distinct predecessors.
+    the topological order that always takes the lowest ready id,
+    `indegree`, each task's count of distinct predecessors, and `forward`,
+    whether every edge runs from a lower id to a higher one.
     """
 
     def __init__(self, tasks: list[TaskInstance], edges: list[GraphEdge]):
@@ -89,6 +90,7 @@ class TaskGraph:
             self.preds[dep].add(pre)
             self.succs[pre].add(dep)
             forward = forward and pre < dep
+        self.forward = forward
         self.indegree = {tid: len(ps) for tid, ps in self.preds.items()}
         # with every edge running from a lower id to a higher one, the lowest
         # ready id is always the lowest id not yet taken: its predecessors
@@ -221,6 +223,9 @@ def check_dependence_sufficiency(graph: TaskGraph) -> list[Conflict]:
     one descendant bitset per task, bit i standing for the task of i-th
     smallest id: two tasks are unordered when neither holds the other's bit.
     Only those pairs have their access sets compared, in ascending id order.
+    When every edge runs forward, a task's descendants are all later tasks,
+    so one with as many descendants as there are later tasks is ordered
+    with each of them and is skipped.
     """
     order = sorted(graph.tasks, key=lambda t: t.id)
     bit = {t.id: 1 << i for i, t in enumerate(order)}
@@ -232,8 +237,11 @@ def check_dependence_sufficiency(graph: TaskGraph) -> list[Conflict]:
         desc[tid] = bits
 
     everyone = (1 << len(order)) - 1
+    last = len(order) - 1
     conflicts: list[Conflict] = []
     for i, t1 in enumerate(order):
+        if graph.forward and desc[t1.id].bit_count() == last - i:
+            continue
         later = everyone >> (i + 1) << (i + 1)
         unordered = later & ~desc[t1.id]
         while unordered:

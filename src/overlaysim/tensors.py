@@ -73,6 +73,17 @@ class TensorBuffer:
         """Whole-buffer view."""
         return BlockView(self, self.full_ranges)
 
+    def __reduce__(self):
+        # deepcopy and pickle copy the storage, so the copy is another
+        # resource: rebuilding through the constructor draws a fresh id
+        return TensorBuffer, (self.data,)
+
+    def __copy__(self):
+        # a shallow copy shares the storage, so it keeps the id
+        twin = TensorBuffer.__new__(TensorBuffer)
+        twin.__dict__.update(self.__dict__)
+        return twin
+
     def __repr__(self):
         return f"TensorBuffer(id={self.id}, shape={self.shape}, dtype={self.dtype})"
 

@@ -417,6 +417,14 @@ class TestGemm:
     # takes another BLAS path
     @example(1, 2, 64, 1, np.float64, 1.0, -1.0, 1.0, 0)
     @example(1, 3, 100, 0, np.float32, 1.0, -1.0, 1.0, 0)
+    # LU update shapes with rows longer than the drawn ones, which the
+    # in-place passes stream through numpy's ufunc buffer in several chunks
+    @example(300, 300, 2, 0, np.float32, 1.0, -1.0, 1.0, 0)
+    @example(300, 300, 2, 0, np.float64, 1.0, -1.0, 1.0, 0)
+    @example(130, 130, 64, 3, np.float32, 1.0, -1.0, 1.0, 0)
+    @example(130, 130, 64, 3, np.float64, 1.0, -1.0, 1.0, 0)
+    @example(130, 130, 64, 3, np.float32, 0.5, 1.75, -0.3, 1)
+    @example(300, 300, 2, 0, np.float64, -2.0, 0.3, 1.0, 1)
     @settings(max_examples=200, deadline=None)
     def test_matches_one_expression(self, m, n, k, lead, dtype, alpha, beta, gamma, seed):
         """The in-place update gives the bits of the one expression it
@@ -432,6 +440,24 @@ class TestGemm:
         reference_gemm(data[slice(*rows), slice(*cols)], data[slice(*rows), slice(*inner)],
                        data[slice(*inner), slice(*cols)], alpha, beta, gamma)
         np.testing.assert_array_equal(buf.data, data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_restores_the_ufunc_buffer_size(self, dtype):
+        # a size of its own, so that a size gemm left behind cannot pass
+        outside = np.setbufsize(4096)
+        try:
+            buf = TensorBuffer(np.full((4, 6), 10.0, dtype=dtype))
+            c, a, b = (BlockView(buf, ranges) for ranges in
+                       (((0, 2), (2, 6)), ((0, 2), (0, 2)), ((2, 4), (2, 6))))
+            gemm(c, a, b, 2.0, 0.5, 1.0)
+            assert np.getbufsize() == 4096
+            # numpy 2 restores the size on leaving errstate, so check it inside
+            with np.errstate(over="raise"):
+                with pytest.raises(FloatingPointError):
+                    gemm(c, a, b, 1e308, -1.0, 1.0)
+                assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(outside)
 
 
 def fresh_fb():
@@ -496,6 +522,13 @@ class TestConvolution:
         y = view_of(np.zeros((5, 6, 4)))
         convolution(view_of(x0), y, view_of(w0), *DDR_FLAGS, None)
         np.testing.assert_allclose(y.array(), conv2d_naive(x0, w0), atol=1e-12)
+
+    def test_flop_count_is_two_per_weight_per_pixel(self):
+        # 2 H W x #weights, on a map whose height and width differ
+        x = view_of(np.ones((4, 6, 2)))
+        y = view_of(np.zeros((4, 6, 5)))
+        w = view_of(np.ones((3, 3, 2, 5)))
+        assert convolution(x, y, w, *DDR_FLAGS, None) == 2 * 4 * 6 * 90
 
     def test_channel_mismatch(self):
         x = view_of(np.zeros((4, 4, 2)))
@@ -688,6 +721,14 @@ class TestMaxpool:
         fb = self.seeded_fb(np.zeros((3, 4, 1)))
         with pytest.raises(errors.ShapeError):
             maxpool(view_of(np.zeros((1, 2, 1))), False, fb)
+
+    @pytest.mark.parametrize("shape", [(3, 4, 1), (4, 3, 1), (6, 5, 2)])
+    def test_odd_extent_in_one_axis(self, shape):
+        fb = self.seeded_fb(np.zeros(shape))
+        y = view_of(np.full((3, 2, 2), 7.0))
+        with pytest.raises(errors.ShapeError, match="spatial extents must be even"):
+            maxpool(y, False, fb)
+        assert np.all(y.array() == 7.0)
 
     @given(st.integers(1, 16), st.integers(1, 16), st.integers(1, 8),
            st.sampled_from([np.float32, np.float64]), st.integers(0, 2 ** 32 - 1))

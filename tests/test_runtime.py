@@ -249,6 +249,18 @@ class TestCheckerMatchesReference:
         assert report
         assert report == reference_conflicts(graph)
 
+    def test_back_edge_keeps_the_later_pairs(self):
+        """Task 1 has one descendant, as many as it has later tasks, but the
+        descendant is task 0 through a back edge: the pair (1, 2) stays
+        unordered and is reported."""
+        writes = (AccessSet(0, ((0, 2),), "write"),)
+        tasks = [TaskInstance(tid, "k", 0, 0, (), writes) for tid in range(3)]
+        graph = TaskGraph(tasks, [GraphEdge(1, 0, "rule")])
+        assert not graph.forward
+        report = check_dependence_sufficiency(graph)
+        assert [(c.first, c.second) for c in report] == [(0, 2), (1, 2)]
+        assert report == reference_conflicts(graph)
+
 
 def draw_random_graph(data, max_access_sets=3):
     """Random tasks, access sets and rules on up to 3 queues, with gaps in the
@@ -299,6 +311,36 @@ def draw_random_graph(data, max_access_sets=3):
 @settings(max_examples=150, deadline=None)
 def test_checker_matches_reference_on_random_graphs(data):
     graph = draw_random_graph(data)
+    assert check_dependence_sufficiency(graph) == reference_conflicts(graph)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_checker_matches_reference_on_forward_graphs(data):
+    """Graphs whose edges all run forward, with gaps in the ids, where the
+    checker skips each task that is ordered with every later one.  Links
+    between neighbouring ids make such tasks common; the links left out and
+    random forward edges leave other pairs unordered."""
+    ids = sorted(data.draw(st.sets(st.integers(0, 60), min_size=1, max_size=14)))
+    linked = st.sampled_from([True, True, False])
+    pairs = [(a, b) for a, b in zip(ids, ids[1:]) if data.draw(linked)]
+    pairs += [(a, b) for a, b in data.draw(st.lists(
+        st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=20)) if a < b]
+    extents = {0: (4, 4), 1: (6,)}
+
+    def draw_access_set():
+        buffer_id = data.draw(st.sampled_from([0, 1]))
+        ranges = []
+        for extent in extents[buffer_id]:
+            lo = data.draw(st.integers(0, extent - 1))
+            ranges.append((lo, data.draw(st.integers(lo + 1, extent))))
+        return AccessSet(buffer_id, tuple(ranges), data.draw(st.sampled_from(MODES)))
+
+    tasks = [TaskInstance(tid, "k", 0, 0, (tid,),
+                          tuple(draw_access_set() for _ in range(data.draw(st.integers(0, 2)))))
+             for tid in ids]
+    graph = TaskGraph(tasks, [GraphEdge(a, b, "rule") for a, b in pairs])
+    assert graph.forward
     assert check_dependence_sufficiency(graph) == reference_conflicts(graph)
 
 
@@ -414,6 +456,21 @@ def recording_overlay(overlay, calls):
 
 
 class TestRun:
+    def test_virtual_times_of_a_small_lu_are_pinned(self):
+        """Literal times, so that neither the divisor nor the default slot
+        count can move unseen: at m = 100 the update's 2e6 flops last 2 units,
+        and at the default single slot the two panel solves run one after the
+        other."""
+        _, overlay, tasks, rules = lu_setup(2, 100)
+        trace = run(overlay, build_task_graph(tasks, rules))
+        assert trace.records == [
+            TraceRecord(0, "factor", 0, 0, 0, 1, 0),
+            TraceRecord(1, "row_solve", 0, 1, 1, 2, 0),
+            TraceRecord(2, "col_solve", 0, 2, 2, 3, 0),
+            TraceRecord(3, "update", 0, 3, 3, 5, 0),
+            TraceRecord(4, "factor", 1, 0, 5, 6, 0),
+        ]
+
     def test_single_queue_runs_in_enqueue_order(self):
         ov = noop_overlay(1)
         tasks = [ov.enqueue(0, [], i) for i in range(3)]

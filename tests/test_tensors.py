@@ -230,6 +230,32 @@ def test_copies_and_pickles_rebuild_through_the_constructor():
     np.testing.assert_array_equal(twin.array(), view.array())
 
 
+def test_buffer_copies_keep_the_id_only_with_the_storage():
+    """A shallow copy shares the storage and is the same resource; a deep
+    copy or an unpickled buffer has its own storage and a fresh id."""
+    buf = new_buffer([4, 4], fill=2.0, dtype=np.float32)
+    twin = copy.copy(buf)
+    assert twin is not buf and twin.id == buf.id
+    assert twin.data is buf.data and twin.full_ranges == buf.full_ranges
+    for twin in (copy.deepcopy(buf), pickle.loads(pickle.dumps(buf))):
+        assert twin.id != buf.id
+        assert not np.shares_memory(twin.data, buf.data)
+        assert twin.dtype == buf.dtype and twin.full_ranges == buf.full_ranges
+        np.testing.assert_array_equal(twin.data, buf.data)
+
+
+def test_pickled_view_brings_a_buffer_with_a_fresh_id():
+    buf = new_buffer([4, 4])
+    view = bcropped(buf, 2, 1, 1, 0, 1)
+    twin = pickle.loads(pickle.dumps(view))
+    assert twin.buffer.id != buf.id
+    assert access_set(twin, READ_WRITE).buffer_id == twin.buffer.id
+    assert access_set(twin, READ_WRITE).conflict(access_set(view, READ_WRITE)) is None
+    # views deep-copied together keep sharing their one copied buffer
+    left, right = copy.deepcopy([view, buf.view()])
+    assert left.buffer is right.buffer and left.buffer.id != buf.id
+
+
 def test_access_set_is_stored_per_view_and_mode():
     buf = new_buffer([4, 4])
     view = bcropped(buf, 2, 0, 0, 0, 1)
