@@ -262,6 +262,18 @@ class TestCheckerMatchesReference:
         assert report == reference_conflicts(graph)
 
 
+ACCESS_EXTENTS = {0: (4, 4), 1: (6,), 2: (1,)}  # buffer 2 is the one-cell feature buffer
+
+
+def draw_access_set(data, buffers):
+    buffer_id = data.draw(st.sampled_from(buffers))
+    ranges = []
+    for extent in ACCESS_EXTENTS[buffer_id]:
+        lo = data.draw(st.integers(0, extent - 1))
+        ranges.append((lo, data.draw(st.integers(lo + 1, extent))))
+    return AccessSet(buffer_id, tuple(ranges), data.draw(st.sampled_from(MODES)))
+
+
 def draw_random_graph(data, max_access_sets=3):
     """Random tasks, access sets and rules on up to 3 queues, with gaps in the
     ids and rule edges that run from a higher id to a lower one.  Each task's
@@ -278,23 +290,13 @@ def draw_random_graph(data, max_access_sets=3):
         for k, r in zip(on_q, sorted(rank[k] for k in on_q)):
             rank[k] = r
 
-    extents = {0: (4, 4), 1: (6,), 2: (1,)}  # buffer 2 is the one-cell feature buffer
     buffers = data.draw(st.sampled_from([(0, 2), (0, 1, 2)]))
-
-    def draw_access_set():
-        buffer_id = data.draw(st.sampled_from(buffers))
-        ranges = []
-        for extent in extents[buffer_id]:
-            lo = data.draw(st.integers(0, extent - 1))
-            ranges.append((lo, data.draw(st.integers(lo + 1, extent))))
-        return AccessSet(buffer_id, tuple(ranges), data.draw(st.sampled_from(MODES)))
-
     present = st.sampled_from([True, True, True, False])
     slots = [(i, k) for i in range(iters) for k in range(n_kinds) if data.draw(present)]
     ids = sorted(data.draw(st.sets(st.integers(0, 200), min_size=len(slots),
                                    max_size=len(slots))))
     tasks = [TaskInstance(tid, f"k{k}", kind_queue[k], i, (tid,),
-                          tuple(draw_access_set()
+                          tuple(draw_access_set(data, buffers)
                                 for _ in range(data.draw(st.integers(0, max_access_sets)))))
              for tid, (i, k) in zip(ids, slots)]
     rules = []
@@ -326,18 +328,9 @@ def test_checker_matches_reference_on_forward_graphs(data):
     pairs = [(a, b) for a, b in zip(ids, ids[1:]) if data.draw(linked)]
     pairs += [(a, b) for a, b in data.draw(st.lists(
         st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=20)) if a < b]
-    extents = {0: (4, 4), 1: (6,)}
-
-    def draw_access_set():
-        buffer_id = data.draw(st.sampled_from([0, 1]))
-        ranges = []
-        for extent in extents[buffer_id]:
-            lo = data.draw(st.integers(0, extent - 1))
-            ranges.append((lo, data.draw(st.integers(lo + 1, extent))))
-        return AccessSet(buffer_id, tuple(ranges), data.draw(st.sampled_from(MODES)))
-
     tasks = [TaskInstance(tid, "k", 0, 0, (tid,),
-                          tuple(draw_access_set() for _ in range(data.draw(st.integers(0, 2)))))
+                          tuple(draw_access_set(data, (0, 1))
+                                for _ in range(data.draw(st.integers(0, 2)))))
              for tid in ids]
     graph = TaskGraph(tasks, [GraphEdge(a, b, "rule") for a, b in pairs])
     assert graph.forward
