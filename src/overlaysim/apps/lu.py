@@ -46,12 +46,15 @@ def dominant_matrix(n: int, m: int, seed: int, dtype=DEFAULT_DTYPE) -> TensorBuf
     """Seeded uniform(-1, 1) matrix made strictly diagonally dominant.
 
     Adding n*m on the diagonal guarantees nonzero pivots, which the
-    no-pivoting factorization requires.
+    no-pivoting factorization requires.  It is added in place, with no
+    identity matrix: the draw is never -0.0, so the bits equal those of
+    `draw + size * np.eye(size)`.
     """
     size = n * m
     rng = np.random.default_rng(seed)
-    a = rng.uniform(-1.0, 1.0, (size, size)) + size * np.eye(size)
-    return TensorBuffer(a.astype(dtype))
+    a = rng.uniform(-1.0, 1.0, (size, size))
+    a[np.diag_indices(size)] += size
+    return TensorBuffer(a.astype(dtype, copy=False))
 
 
 def lu_overlay() -> Overlay:

@@ -22,12 +22,13 @@ from .apps import (
     vgg_generate_tasks,
     vgg_overlay,
 )
-from .errors import OverlayError
+from .errors import OverlayError, TaskExecutionError
 from .oracles import compare, oracle_cnn_forward, oracle_lu
 from .overlay import load_overlay
 from .runtime import (
     build_task_graph,
     check_dependence_sufficiency,
+    describe_region,
     emit_trace,
     parse_trace,
     run,
@@ -218,7 +219,20 @@ def main(argv=None) -> int:
         return cmd_inspect(args)
     except (OverlayError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, TaskExecutionError):
+            _print_failure(exc)
         return EXIT_FAIL
+
+
+def _print_failure(exc: TaskExecutionError) -> None:
+    """What the failed task's body raised, its iteration and the regions it writes."""
+    cause = exc.__cause__
+    if cause is not None:
+        print(f"  cause: {type(cause).__name__}: {cause}", file=sys.stderr)
+    print(f"  iteration: {exc.iteration}", file=sys.stderr)
+    for acc in exc.access_sets:
+        if acc.writes:
+            print(f"  writes: {describe_region(acc.buffer_id, acc.ranges)}", file=sys.stderr)
 
 
 if __name__ == "__main__":

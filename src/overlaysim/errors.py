@@ -71,11 +71,18 @@ class DependenceConflictError(OverlayError):
 
 
 class TaskExecutionError(OverlayError):
-    """A task body failed; scheduling stopped and no further task was started."""
+    """A task body failed; scheduling stopped and no further task was started.
 
-    def __init__(self, task_id: int, kind: str):
+    Carries the task's id, kind, iteration and access sets; the body's own
+    exception is the __cause__.
+    """
+
+    def __init__(self, task_id: int, kind: str, iteration: int | None = None,
+                 access_sets: tuple = ()):
         self.task_id = task_id
         self.kind = kind
+        self.iteration = iteration
+        self.access_sets = access_sets
         super().__init__(f"task {task_id} ({kind}) failed")
 
 

@@ -287,7 +287,19 @@ def gemm(c: BlockView, a: BlockView, b: BlockView,
 
     The coefficients must be finite; they are checked before any operand is
     read.  C must not share elements with A or B, as the product is accumulated
-    into C's storage directly; gemm_access_sets checks that and the shapes.
+    into C's storage directly; gemm_access_sets checks that and the shapes,
+    and gemm_update then updates C.
+    """
+    _check_coefficients(alpha, beta, gamma)
+    gemm_access_sets(c, a, b, alpha, beta, gamma)
+    return gemm_update(c, a, b, alpha, beta, gamma)
+
+
+def gemm_update(c: BlockView, a: BlockView, b: BlockView,
+                alpha: float, beta: float, gamma: float) -> int:
+    """gemm on operands whose shapes and aliasing gemm_access_sets has passed,
+    as those of an enqueued GEMM task have: checks the coefficients, then
+    updates C.
 
     The product A(gamma*B) is the one C-sized temporary: C is scaled and
     updated in place, as a BLAS gemm does, and a unit alpha or beta costs no
@@ -304,10 +316,7 @@ def gemm(c: BlockView, a: BlockView, b: BlockView,
     order, so the bits do not change.  The old size is put back in a
     `finally`, since numpy 1.x's errstate does not restore it.
     """
-    for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
-        if not math.isfinite(value):
-            raise ValueError(f"coefficient {name} must be finite")
-    gemm_access_sets(c, a, b, alpha, beta, gamma)
+    _check_coefficients(alpha, beta, gamma)
     cm, am, bm = c.array(), a.array(), b.array()
     prod = am @ (gamma * bm)
     old = np.setbufsize(64)
@@ -323,6 +332,12 @@ def gemm(c: BlockView, a: BlockView, b: BlockView,
     finally:
         np.setbufsize(old)
     return 2 * am.shape[0] * am.shape[1] * bm.shape[1]
+
+
+def _check_coefficients(alpha: float, beta: float, gamma: float) -> None:
+    for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
+        if not math.isfinite(value):
+            raise ValueError(f"coefficient {name} must be finite")
 
 
 def gemm_access_sets(c: BlockView, a: BlockView, b: BlockView,

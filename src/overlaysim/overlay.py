@@ -228,7 +228,8 @@ def load_overlay(path) -> Overlay:
 # kernels.py (the CNN kernels also get the feature buffer): run into the
 # kernel, which returns its own flop estimate for virtual trace time, and
 # access_sets into the kernel's X_access_sets, which derives the element
-# ranges the kernel touches.
+# ranges the kernel touches.  GEMM runs into gemm_update, since enqueue has
+# passed its operands through gemm_access_sets' shape and alias checks.
 
 IP_REGISTRY: dict[str, IpDescriptor] = {
     "LU": IpDescriptor(
@@ -244,7 +245,7 @@ IP_REGISTRY: dict[str, IpDescriptor] = {
         lambda args, fb: kernels.transform_column_panel_access_sets(*args)),
     "GEMM": IpDescriptor(
         "GEMM", ("view", "view", "view", "scalar", "scalar", "scalar"),
-        lambda args, fb: kernels.gemm(*args),
+        lambda args, fb: kernels.gemm_update(*args),
         lambda args, fb: kernels.gemm_access_sets(*args)),
     "Convolution": IpDescriptor(
         "Convolution", ("view", "view", "view", "flag", "flag", "flag", "flag"),

@@ -20,7 +20,8 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
-from operator import attrgetter
+from functools import cached_property
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -73,29 +74,43 @@ class GraphEdge(NamedTuple):
 class TaskGraph:
     """Acyclic task graph with queue-order chains embedded as edges.
 
-    Construction rejects a cycle with a witness and records `topo_order`,
-    the topological order that always takes the lowest ready id,
-    `indegree`, each task's count of distinct predecessors, and `forward`,
-    whether every edge runs from a lower id to a higher one.
+    Construction rejects a cycle with a witness and records `succs`, each
+    task's distinct successors as a tuple, `indegree`, each task's count of
+    distinct predecessors (a rule edge and a queue-order edge may join the
+    same pair), `topo_order`, the topological order that always takes the
+    lowest ready id, and `forward`, whether every edge runs from a lower id
+    to a higher one.  `preds`, each task's set of predecessors, is derived
+    from `succs` on first read.
     """
 
     def __init__(self, tasks: list[TaskInstance], edges: list[GraphEdge]):
         self.tasks = list(tasks)
         self.edges = list(edges)
         self.by_id = {t.id: t for t in self.tasks}
-        self.preds: dict[int, set[int]] = {tid: set() for tid in self.by_id}
-        self.succs: dict[int, set[int]] = {tid: set() for tid in self.by_id}
+        succs: dict[int, list[int]] = {tid: [] for tid in self.by_id}
+        indegree = dict.fromkeys(self.by_id, 0)
         forward = True
-        for pre, dep, _ in self.edges:
-            self.preds[dep].add(pre)
-            self.succs[pre].add(dep)
+        # each distinct (pre, dep) pair once, in edge order
+        for pre, dep in dict.fromkeys(map(_edge_pair, self.edges)):
+            succs[pre].append(dep)
+            indegree[dep] += 1
             forward = forward and pre < dep
+        self.succs = {tid: tuple(deps) for tid, deps in succs.items()}
+        self.indegree = indegree
         self.forward = forward
-        self.indegree = {tid: len(ps) for tid, ps in self.preds.items()}
         # with every edge running from a lower id to a higher one, the lowest
         # ready id is always the lowest id not yet taken: its predecessors
         # all have lower ids, so all are taken already
         self.topo_order = sorted(self.by_id) if forward else self._topological_order()
+
+    @cached_property
+    def preds(self) -> dict[int, set[int]]:
+        """Each task's set of predecessors, built on first read."""
+        preds: dict[int, set[int]] = {tid: set() for tid in self.by_id}
+        for pre, deps in self.succs.items():
+            for dep in deps:
+                preds[dep].add(pre)
+        return preds
 
     def _topological_order(self) -> list[int]:
         """Kahn's algorithm; whatever cannot be peeled off sits on a cycle."""
@@ -178,25 +193,28 @@ def build_task_graph(tasks, rules) -> TaskGraph:
         if t.kind in prerequisite_kinds:
             by_slot.setdefault((t.kind, t.iteration), []).append(t.id)
 
-    edges: dict[tuple[int, int, str], None] = {}
+    # one GraphEdge per edge, as a key: a dict keeps the first of repeats
+    # (_make, which takes a tuple, skips GraphEdge's Python-level __new__)
+    edges: dict[GraphEdge, None] = {}
     for t in tasks:
         for kind, distance in rules_of.get(t.kind, ()):
             for pre in by_slot.get((kind, t.iteration - distance), ()):
                 if pre == t.id:
                     raise CyclicDependenceError([pre, pre])
-                edges[pre, t.id, "rule"] = None
+                edges[GraphEdge._make((pre, t.id, "rule"))] = None
 
     last_of_queue: dict[int, int] = {}
     for t in sorted(tasks, key=_task_id):
         earlier = last_of_queue.get(t.queue_no)
         if earlier is not None:
-            edges[earlier, t.id, "queue-order"] = None
+            edges[GraphEdge._make((earlier, t.id, "queue-order"))] = None
         last_of_queue[t.queue_no] = t.id
 
-    return TaskGraph(tasks, list(map(GraphEdge._make, edges)))
+    return TaskGraph(tasks, list(edges))
 
 
 _task_id = attrgetter("id")
+_edge_pair = itemgetter(0, 1)
 
 
 @dataclass(frozen=True)
@@ -210,9 +228,14 @@ class Conflict:
     modes: tuple[str, str]
 
     def describe(self) -> str:
-        region = " x ".join(f"[{lo},{hi})" for lo, hi in self.overlap)
-        return (f"tasks {self.first} and {self.second} touch buffer {self.buffer_id} "
-                f"region {region} as {self.modes[0]}/{self.modes[1]} with no ordering")
+        return (f"tasks {self.first} and {self.second} touch "
+                f"{describe_region(self.buffer_id, self.overlap)} "
+                f"as {self.modes[0]}/{self.modes[1]} with no ordering")
+
+
+def describe_region(buffer_id: int, ranges) -> str:
+    """`buffer B region [lo,hi) x ...`, as conflict and failure reports name a region."""
+    return f"buffer {buffer_id} region " + " x ".join(f"[{lo},{hi})" for lo, hi in ranges)
 
 
 def check_dependence_sufficiency(graph: TaskGraph) -> list[Conflict]:
@@ -319,11 +342,11 @@ def run(overlay, graph: TaskGraph, worker_count: int = 1,
     clock = 0
     while ready or running:
         while ready and free:
-            tid, kind, queue_no, iteration, args, _ = by_id[pop()]
+            tid, kind, queue_no, iteration, args, access_sets = by_id[pop()]
             try:
                 flops = int(bodies[queue_no](args, fb))
             except Exception as exc:
-                raise TaskExecutionError(tid, kind) from exc
+                raise TaskExecutionError(tid, kind, iteration, access_sets) from exc
             slot = heappop(free)
             end = clock + max(1, flops // VIRTUAL_TIME_DIVISOR)
             records.append(TraceRecord(tid, kind, iteration, queue_no, clock, end, slot))

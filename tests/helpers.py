@@ -4,9 +4,10 @@ These reimplement checks at element granularity, independently of the
 library's interval-based machinery, so the two can be compared.  The
 quadratic conflict checker, the queue-scanning virtual replay, the
 thread-pool executor, the row/column loops of the LU kernels, the one-line
-GEMM expression, the flop formulas of the overlay's old run adapters, and the
-tensordot convolution and axis-reduce pool of the CNN kernels, all once used
-by the library, are kept here as the references for their replacements.
+GEMM expression, the one-expression dominant matrix, the flop formulas of
+the overlay's old run adapters, and the tensordot convolution and
+axis-reduce pool of the CNN kernels, all once used by the library, are kept
+here as the references for their replacements.
 """
 
 import heapq
@@ -222,6 +223,14 @@ def reference_threaded_execute(overlay, graph, worker_count):
     if len(flops) != len(graph.tasks):
         raise OverlayError("scheduler stalled with tasks remaining (graph inconsistent)")
     return flops
+
+
+def reference_dominant_matrix(n, m, seed, dtype):
+    """apps.dominant_matrix as one expression, with the identity, the scaled
+    identity, the sum and the converted copy it once allocated."""
+    size = n * m
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(-1.0, 1.0, (size, size)) + size * np.eye(size)).astype(dtype)
 
 
 def reference_lu_factor_block(a):

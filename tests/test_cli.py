@@ -1,14 +1,16 @@
 """CLI surface: subcommands, exit codes, file outputs."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from overlaysim import cli, runtime
 from overlaysim.cli import main
-from overlaysim.tensors import write_tensor_text
-from overlaysim.apps import dominant_matrix
+from overlaysim.errors import EmptyFeatureBufferError, TaskExecutionError
+from overlaysim.tensors import TensorBuffer, new_buffer, write_tensor_text
+from overlaysim.apps import dominant_matrix, lu_overlay, vgg_overlay
 
 
 def run_cli(*argv):
@@ -123,6 +125,56 @@ class TestRunLu:
     def test_bad_sizes_are_usage_errors(self):
         assert run_cli("run", "lu", "--n", "0", "--m", "2") == 2
         assert run_cli("run", "lu", "--workers", "0") == 2
+
+
+class TestTaskFailureReport:
+    """A failed task's error names what its body raised, its iteration and
+    the regions it writes; str(exc) and the exit code stay as they were."""
+
+    def test_singular_pivot_names_the_block(self, tmp_path, capsys):
+        a = 10 * np.eye(8)
+        a[5, 5] = 0.0  # the second pivot of block (2, 2): rows and columns [4, 6)
+        src = tmp_path / "pivot.txt"
+        write_tensor_text(TensorBuffer(a), src)
+        assert run_cli("run", "lu", "--m", "2", "--input", str(src)) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[:3] == [
+            "error: task 8 (factor) failed",
+            "  cause: SingularPivotError: singular pivot at index 1 (|0.0| below threshold)",
+            "  iteration: 2"]
+        assert re.fullmatch(r"  writes: buffer \d+ region \[4,6\) x \[4,6\)", lines[3])
+        assert len(lines) == 4
+
+    def test_non_finite_gemm_coefficient_fails_its_task(self, capsys):
+        """enqueue stores any float; the GEMM body checks the coefficients
+        before it touches C."""
+        overlay = lu_overlay()
+        c = new_buffer([2, 2], fill=1.0)
+        ones = [new_buffer([2, 2], fill=1.0).view() for _ in range(2)]
+        task = overlay.enqueue(3, [c.view(), *ones, 1.0, float("inf"), 1.0], 4)
+        with pytest.raises(TaskExecutionError) as exc:
+            runtime.run(overlay, runtime.build_task_graph([task], []))
+        assert str(exc.value) == f"task {task.id} (GEMM) failed"
+        assert type(exc.value.__cause__) is ValueError
+        assert (exc.value.iteration, exc.value.access_sets) == (4, task.access_sets)
+        np.testing.assert_array_equal(c.data, np.ones((2, 2)))
+        cli._print_failure(exc.value)
+        assert capsys.readouterr().err.splitlines() == [
+            "  cause: ValueError: coefficient beta must be finite",
+            "  iteration: 4",
+            f"  writes: buffer {c.id} region [0,2) x [0,2)"]
+
+    def test_maxpool_on_an_empty_feature_buffer_names_the_slot(self, capsys):
+        overlay = vgg_overlay()
+        task = overlay.enqueue(1, [new_buffer([2, 2, 1]).view(), True], 0, kind="pool")
+        with pytest.raises(TaskExecutionError) as exc:
+            runtime.run(overlay, runtime.build_task_graph([task], []))
+        assert type(exc.value.__cause__) is EmptyFeatureBufferError
+        cli._print_failure(exc.value)
+        assert capsys.readouterr().err.splitlines() == [
+            "  cause: EmptyFeatureBufferError: maxpool reads the feature buffer, which is empty",
+            "  iteration: 0",
+            f"  writes: buffer {overlay.feature_buffer.resource_id} region [0,1)"]
 
 
 class TestRunVgg:

@@ -18,6 +18,8 @@ from overlaysim.oracles import compare, oracle_lu, unpack_lu
 from overlaysim.runtime import build_task_graph
 from overlaysim.tensors import TensorBuffer, new_buffer
 
+from helpers import reference_dominant_matrix
+
 
 def make_problem(n, m, seed=0):
     return LuProblem(dominant_matrix(n, m, seed), n, m)
@@ -36,6 +38,15 @@ class TestProblem:
         a = dominant_matrix(2, 3, seed=5)
         b = dominant_matrix(2, 3, seed=5)
         np.testing.assert_array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n, m, seed", [(1, 1, 0), (1, 1, 3), (2, 3, 5), (8, 32, 1),
+                                            (64, 2, 2), (3, 7, 11)])
+    def test_dominant_matrix_bits_equal_the_one_expression(self, n, m, seed, dtype):
+        got = dominant_matrix(n, m, seed, dtype=dtype).data
+        expected = reference_dominant_matrix(n, m, seed, dtype)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestTaskGeneration:

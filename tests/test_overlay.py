@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overlaysim import errors
+from overlaysim import errors, kernels
 from overlaysim.overlay import (
     IP_REGISTRY,
     IpDescriptor,
@@ -28,7 +28,7 @@ from overlaysim.apps import (
     vgg_generate_tasks,
     vgg_overlay,
 )
-from overlaysim.runtime import build_task_graph
+from overlaysim.runtime import build_task_graph, run
 from overlaysim.tensors import BlockView, TensorBuffer, new_buffer, bcropped
 
 from helpers import reference_flops
@@ -423,3 +423,19 @@ def test_kernels_report_reference_flops(build):
         ip = overlay.interface(task.queue_no).ip
         expected = reference_flops(ip.name, task.args, fb)
         assert ip.run(task.args, fb) == expected, (task.id, task.kind)
+
+
+def test_gemm_access_sets_are_derived_once_per_task_at_enqueue(monkeypatch):
+    """The GEMM binding runs gemm_update, which trusts the operands enqueue
+    checked: run() derives no access set again."""
+    derived = []
+    real = kernels.gemm_access_sets
+    monkeypatch.setattr(kernels, "gemm_access_sets",
+                        lambda *args: derived.append(args) or real(*args))
+    overlay = lu_overlay()
+    tasks, rules = lu_generate_tasks(LuProblem(dominant_matrix(4, 2, 0), 4, 2), overlay)
+    updates = [t.args for t in tasks if t.kind == "update"]
+    assert len(updates) == 3
+    assert derived == updates
+    run(overlay, build_task_graph(tasks, rules))
+    assert derived == updates

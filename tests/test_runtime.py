@@ -1,6 +1,7 @@
 """Graph construction, conflict checking, scheduling, and trace handling."""
 
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -368,6 +369,75 @@ def test_topological_order_matches_kahn_reference(data):
     assert graph.topo_order == expected
     assert graph.edge_pairs() == sorted(set(pairs))
     assert graph.indegree == {tid: len({a for a, b in pairs if b == tid}) for tid in ids}
+
+
+def assert_adjacency_matches_edges(graph):
+    """succs lists each successor once, indegree counts distinct predecessors,
+    and preds, edge_pairs() and topo_order equal references built from the
+    edges."""
+    pairs = {(e.pre, e.dep) for e in graph.edges}
+    preds = {tid: set() for tid in graph.by_id}
+    for pre, dep in pairs:
+        preds[dep].add(pre)
+    for tid, deps in graph.succs.items():
+        assert len(deps) == len(set(deps))
+        assert set(deps) == {dep for pre, dep in pairs if pre == tid}
+    assert graph.indegree == {tid: len(preds[tid]) for tid in graph.by_id}
+    assert graph.preds == preds
+    assert graph.edge_pairs() == sorted(pairs)
+    assert graph.topo_order == reference_topological_order(list(graph.by_id), pairs)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_adjacency_matches_the_edges_on_random_graphs(data):
+    """Random graphs with back edges, where a rule edge may also join two
+    tasks that queue order joins already."""
+    assert_adjacency_matches_edges(draw_random_graph(data, max_access_sets=0))
+
+
+def test_rule_and_queue_order_edge_on_one_pair_count_once():
+    tasks = [TaskInstance(tid, kind, 0, 0, ()) for tid, kind in enumerate("abc")]
+    graph = build_task_graph(tasks, [depend("b", "a", 0), depend("c", "a", 0)])
+    assert sorted(graph.edges) == [(0, 1, "queue-order"), (0, 1, "rule"),
+                                   (0, 2, "rule"), (1, 2, "queue-order")]
+    assert graph.succs == {0: (1, 2), 1: (2,), 2: ()}
+    assert graph.indegree == {0: 0, 1: 1, 2: 2}
+    assert_adjacency_matches_edges(graph)
+
+
+@pytest.mark.parametrize("app", ["lu", "vgg"])
+def test_build_and_run_leave_preds_unbuilt(app):
+    """preds is derived only when read: neither the build, the check nor a
+    run reads it."""
+    if app == "lu":
+        _, overlay, tasks, rules = lu_setup(4, 2)
+    else:
+        cfg = tiny_config(batch=2)
+        overlay = vgg_overlay()
+        tasks, rules, _ = vgg_generate_tasks(cfg, random_input(cfg, 0),
+                                             seeded_weights(cfg, 1), overlay)
+    graph = build_task_graph(tasks, rules)
+    assert "preds" not in vars(graph)
+    run(overlay, graph, worker_count=2)
+    assert "preds" not in vars(graph)
+    assert graph.preds is graph.preds
+    assert "preds" in vars(graph)
+
+
+def test_wide_fan_out_builds_in_linear_time():
+    """One task ordered before 50 000 others by a rule edge and a queue-order
+    edge each: a dedupe that scanned a task's successors for every new edge
+    would take more than a billion comparisons here."""
+    n = 50_000
+    tasks = [TaskInstance(tid, "k", 0, 0, ()) for tid in range(n + 1)]
+    edges = [GraphEdge(0, dep, provenance)
+             for provenance in ("rule", "queue-order") for dep in range(1, n + 1)]
+    start = time.perf_counter()
+    graph = TaskGraph(tasks, edges)
+    assert time.perf_counter() - start < 1.0
+    assert graph.succs[0] == tuple(range(1, n + 1))
+    assert set(graph.indegree.values()) == {0, 1}
 
 
 class TestTaskInstance:
