@@ -107,7 +107,8 @@ def _prepare_lu(args, dtype):
     problem = LuProblem(buf, n, args.m)
     overlay = load_overlay(args.overlay) if args.overlay else lu_overlay()
     tasks, rules = lu_generate_tasks(problem, overlay)
-    original = buf.data.copy()
+    # the run overwrites the input: copy it for the oracle only under --verify
+    original = buf.data.copy() if args.verify else None
     return overlay, tasks, rules, buf, lambda: oracle_lu(original)
 
 

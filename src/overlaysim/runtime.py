@@ -74,30 +74,34 @@ class GraphEdge(NamedTuple):
 class TaskGraph:
     """Acyclic task graph with queue-order chains embedded as edges.
 
-    Construction rejects a cycle with a witness and records `succs`, each
-    task's distinct successors as a tuple, `indegree`, each task's count of
-    distinct predecessors (a rule edge and a queue-order edge may join the
-    same pair), `topo_order`, the topological order that always takes the
-    lowest ready id, and `forward`, whether every edge runs from a lower id
-    to a higher one.  `preds`, each task's set of predecessors, is derived
-    from `succs` on first read.
+    Construction checks its input, whoever built it: duplicate task ids and
+    an edge to an unknown task raise InvocationError, and a cycle, a
+    self-edge included, raises CyclicDependenceError with a witness.  It
+    records `succs`, each task's distinct successors as a tuple,
+    `indegree`, each task's count of distinct predecessors (a rule edge and
+    a queue-order edge may join the same pair), and `topo_order`, the
+    topological order that always takes the lowest ready id.  `preds`, each
+    task's set of predecessors, is derived from `succs` on first read.
     """
 
     def __init__(self, tasks: list[TaskInstance], edges: list[GraphEdge]):
         self.tasks = list(tasks)
         self.edges = list(edges)
         self.by_id = {t.id: t for t in self.tasks}
+        if len(self.by_id) != len(self.tasks):
+            raise InvocationError("duplicate task ids in graph input")
         succs: dict[int, list[int]] = {tid: [] for tid in self.by_id}
         indegree = dict.fromkeys(self.by_id, 0)
         forward = True
         # each distinct (pre, dep) pair once, in edge order
         for pre, dep in dict.fromkeys(map(_edge_pair, self.edges)):
+            if pre not in succs or dep not in succs:
+                raise InvocationError(f"edge ({pre}, {dep}) references an unknown task")
             succs[pre].append(dep)
             indegree[dep] += 1
             forward = forward and pre < dep
         self.succs = {tid: tuple(deps) for tid, deps in succs.items()}
         self.indegree = indegree
-        self.forward = forward
         # with every edge running from a lower id to a higher one, the lowest
         # ready id is always the lowest id not yet taken: its predecessors
         # all have lower ids, so all are taken already
@@ -121,8 +125,7 @@ class TaskGraph:
             frontier.complete(order[-1])
         if len(order) != len(self.tasks):
             stuck = {tid for tid, d in frontier.waiting.items() if d > 0}
-            cyclic_preds = {tid: {p for p in self.preds[tid] if p in stuck} for tid in stuck}
-            raise CyclicDependenceError(_find_cycle(cyclic_preds, stuck))
+            raise CyclicDependenceError(_find_cycle(self.preds, stuck))
         return order
 
     def edge_pairs(self) -> list[tuple[int, int]]:
@@ -158,7 +161,8 @@ class _Frontier:
 
 
 def _find_cycle(preds: dict[int, set[int]], candidates: set[int]) -> list[int]:
-    """Extract one witness cycle among nodes known to sit on cycles."""
+    """Extract one witness cycle among the candidates, the nodes a Kahn pass
+    left: each has a predecessor among them, so walking back stays inside."""
     start = min(candidates)
     path: list[int] = []
     on_path: set[int] = set()
@@ -177,11 +181,11 @@ def build_task_graph(tasks, rules) -> TaskGraph:
 
     A rule contributes an edge only where the prerequisite instance exists:
     rules pointing at negative iterations or at skipped tasks are silently
-    inert.  Cycles are rejected with a witness (see TaskGraph).
+    inert.  Rules are read once, a repeat counting once (distinct rules never
+    give the same edge), and TaskGraph checks the ids and the cycles.
     """
     tasks = list(tasks)
-    if len({t.id for t in tasks}) != len(tasks):
-        raise InvocationError("duplicate task ids in graph input")
+    rules = dict.fromkeys(rules)
     rules_of: dict[str, list[tuple[str, int]]] = {}
     for rule in rules:
         rules_of.setdefault(rule.dependent_kind, []).append(
@@ -193,24 +197,21 @@ def build_task_graph(tasks, rules) -> TaskGraph:
         if t.kind in prerequisite_kinds:
             by_slot.setdefault((t.kind, t.iteration), []).append(t.id)
 
-    # one GraphEdge per edge, as a key: a dict keeps the first of repeats
-    # (_make, which takes a tuple, skips GraphEdge's Python-level __new__)
-    edges: dict[GraphEdge, None] = {}
+    # _make, which takes a tuple, skips GraphEdge's Python-level __new__
+    edges: list[GraphEdge] = []
     for t in tasks:
         for kind, distance in rules_of.get(t.kind, ()):
             for pre in by_slot.get((kind, t.iteration - distance), ()):
-                if pre == t.id:
-                    raise CyclicDependenceError([pre, pre])
-                edges[GraphEdge._make((pre, t.id, "rule"))] = None
+                edges.append(GraphEdge._make((pre, t.id, "rule")))
 
     last_of_queue: dict[int, int] = {}
     for t in sorted(tasks, key=_task_id):
         earlier = last_of_queue.get(t.queue_no)
         if earlier is not None:
-            edges[GraphEdge._make((earlier, t.id, "queue-order"))] = None
+            edges.append(GraphEdge._make((earlier, t.id, "queue-order")))
         last_of_queue[t.queue_no] = t.id
 
-    return TaskGraph(tasks, list(edges))
+    return TaskGraph(tasks, edges)
 
 
 _task_id = attrgetter("id")
@@ -243,39 +244,34 @@ def check_dependence_sufficiency(graph: TaskGraph) -> list[Conflict]:
 
     An empty report means the declared dependences (plus queue order) are
     sufficient to make the shared-buffer accesses race-free.  The closure is
-    one descendant bitset per task, bit i standing for the task of i-th
-    smallest id: two tasks are unordered when neither holds the other's bit.
-    Only those pairs have their access sets compared, in ascending id order.
-    When every edge runs forward, a task's descendants are all later tasks,
-    so one with as many descendants as there are later tasks is ordered
-    with each of them and is skipped.
+    one descendant bitset per task, bit i standing for the i-th task of the
+    topological order.  A task's descendants all come after it in that
+    order, so the tasks unordered with it are exactly the later ones outside
+    its bitset.  Only those pairs have their access sets compared, lower id
+    first, and the report lists the pairs in ascending id order.
     """
-    order = sorted(graph.tasks, key=lambda t: t.id)
-    bit = {t.id: 1 << i for i, t in enumerate(order)}
-    desc: dict[int, int] = {}
-    for tid in reversed(graph.topo_order):
+    order = [graph.by_id[tid] for tid in graph.topo_order]
+    position = {tid: i for i, tid in enumerate(graph.topo_order)}
+    desc = [0] * len(order)
+    for i in reversed(range(len(order))):
         bits = 0
-        for s in graph.succs[tid]:
-            bits |= desc[s] | bit[s]
-        desc[tid] = bits
+        for s in graph.succs[order[i].id]:
+            j = position[s]
+            bits |= desc[j] | (1 << j)
+        desc[i] = bits
 
     everyone = (1 << len(order)) - 1
-    last = len(order) - 1
     conflicts: list[Conflict] = []
     for i, t1 in enumerate(order):
-        if graph.forward and desc[t1.id].bit_count() == last - i:
-            continue
-        later = everyone >> (i + 1) << (i + 1)
-        unordered = later & ~desc[t1.id]
+        unordered = (everyone ^ desc[i]) >> (i + 1)
         while unordered:
             low = unordered & -unordered
             unordered ^= low
-            t2 = order[low.bit_length() - 1]
-            if desc[t2.id] & bit[t1.id]:
-                continue
+            t2 = order[i + low.bit_length()]
+            first, second = (t1, t2) if t1.id < t2.id else (t2, t1)
             seen = set()
-            for s1 in t1.access_sets:
-                for s2 in t2.access_sets:
+            for s1 in first.access_sets:
+                for s2 in second.access_sets:
                     overlap = s1.conflict(s2)
                     if overlap is None:
                         continue
@@ -283,8 +279,10 @@ def check_dependence_sufficiency(graph: TaskGraph) -> list[Conflict]:
                     if key in seen:
                         continue
                     seen.add(key)
-                    conflicts.append(Conflict(t1.id, t2.id, s1.buffer_id,
+                    conflicts.append(Conflict(first.id, second.id, s1.buffer_id,
                                               overlap, (s1.mode, s2.mode)))
+    # stable: each pair's own lines keep their order
+    conflicts.sort(key=attrgetter("first", "second"))
     return conflicts
 
 

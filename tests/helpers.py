@@ -7,7 +7,8 @@ thread-pool executor, the row/column loops of the LU kernels, the one-line
 GEMM expression, the one-expression dominant matrix, the flop formulas of
 the overlay's old run adapters, and the tensordot convolution and
 axis-reduce pool of the CNN kernels, all once used by the library, are kept
-here as the references for their replacements.
+here as the references for their replacements.  reference_split_lu writes
+the LU kernels' current split out again, to pin their bits on any BLAS.
 """
 
 import heapq
@@ -17,7 +18,7 @@ from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 import numpy as np
 
 from overlaysim.errors import OverlayError, ShapeError, SingularPivotError, TaskExecutionError
-from overlaysim.kernels import pivot_epsilon
+from overlaysim.kernels import BLOCK, pivot_epsilon
 from overlaysim.overlay import IpDescriptor, Overlay, command
 from overlaysim.runtime import VIRTUAL_TIME_DIVISOR, Conflict, TraceRecord, _Frontier
 
@@ -243,6 +244,57 @@ def reference_lu_factor_block(a):
             raise SingularPivotError(k, float(pivot))
         a[k + 1:, k] /= pivot
         a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
+
+
+def reference_split_lu(a, n, m):
+    """Blocked LU of the (n*m)-square array a in place, for m above BLOCK.
+
+    The steps of apps.lu (factor, row panel, column panel, trailing update),
+    with the kernels' recursion written out again: every triangular solve
+    and every factor halves down to order BLOCK, a solve leaf is one matmul
+    by the inverse of its triangle, a factor leaf runs the rank-1 loop, and
+    each product is formed in the memory order of the array it updates.  On
+    any BLAS, the kernels give this function's bits exactly as long as they
+    run the same split.  Pivots are not checked.
+    """
+    assert m > BLOCK
+
+    def solve(lower, x, unit):
+        order = lower.shape[0]
+        if order > BLOCK:
+            h = order // 2
+            solve(lower[:h, :h], x[:h], unit)
+            x[h:] -= np.matmul(lower[h:, :h], x[:h], out=np.empty_like(x[h:]))
+            solve(lower[h:, h:], x[h:], unit)
+            return
+        tri = np.tril(lower, -1 if unit else 0)
+        if unit:
+            np.fill_diagonal(tri, 1)
+        x[...] = np.matmul(np.linalg.inv(tri), x, out=np.empty_like(x))
+
+    def factor(b):
+        order = b.shape[0]
+        if order > BLOCK:
+            h = order // 2
+            factor(b[:h, :h])
+            solve(b[:h, :h], b[:h, h:], unit=True)
+            solve(b[:h, :h].T, b[h:, :h].T, unit=False)  # X U = T as U^T X^T = T^T
+            b[h:, h:] -= b[h:, :h] @ b[:h, h:]
+            factor(b[h:, h:])
+            return
+        for k in range(order):
+            col = b[k + 1:, k]
+            col /= b[k, k]
+            b[k + 1:, k + 1:] -= col[:, None] * b[k, k + 1:]
+
+    for i in range(n):
+        head, tail = slice(i * m, (i + 1) * m), slice((i + 1) * m, n * m)
+        factor(a[head, head])
+        if i < n - 1:
+            solve(a[head, head], a[head, tail], unit=True)
+            solve(a[head, head].T, a[tail, head].T, unit=False)
+            # gemm with alpha 1, beta -1, gamma 1: gamma scales a copy of B
+            a[tail, tail] -= a[tail, head] @ (1.0 * a[head, tail])
 
 
 def reference_transform_row_panel(a):

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,32 @@ class TestRunLu:
         dump = tmp_path / "out.txt"
         assert run_cli("run", "lu", "--m", "3", "--input", str(src),
                        "--dump", str(dump), "--verify") == 0
+
+    def test_verify_hands_the_oracle_the_unfactored_input(self, monkeypatch):
+        seen = []
+        real = cli.oracle_lu
+
+        def recording(a):
+            seen.append(a.copy())
+            return real(a)
+
+        monkeypatch.setattr(cli, "oracle_lu", recording)
+        assert run_cli("run", "lu", "--n", "3", "--m", "4", "--seed", "2", "--verify") == 0
+        assert len(seen) == 1
+        assert seen[0].tobytes() == dominant_matrix(3, 4, seed=2).data.tobytes()
+
+    def test_run_without_verify_keeps_no_copy_of_the_input(self):
+        """The oracle's copy of the input is taken only under --verify: a
+        plain run's traced peak stays below two matrices' worth."""
+        matrix_bytes = 512 * 512 * 8
+        run_cli("run", "lu", "--n", "2", "--m", "256")  # warm-up
+        tracemalloc.start()
+        try:
+            assert run_cli("run", "lu", "--n", "2", "--m", "256") == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * matrix_bytes
 
     def test_check_races_clean(self, capsys):
         assert run_cli("run", "lu", "--n", "2", "--m", "2", "--check-races") == 0

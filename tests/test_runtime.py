@@ -109,6 +109,51 @@ class TestBuildTaskGraph:
         with pytest.raises(errors.InvocationError):
             build_task_graph([t1, t2], [])
 
+    def test_rules_as_an_iterator_give_the_same_edges(self):
+        """The rules are read once: a generator gives the list's edges."""
+        _, _, tasks, rules = lu_setup(3, 2)
+        graph = build_task_graph(tasks, (r for r in rules))
+        assert graph.edges == build_task_graph(tasks, rules).edges
+        assert sum(e.provenance == "rule" for e in graph.edges) == 10
+        assert check_dependence_sufficiency(graph) == []
+
+    def test_repeated_rule_counts_once(self):
+        _, _, tasks, rules = lu_setup(3, 2)
+        assert build_task_graph(tasks, rules + rules).edges == \
+            build_task_graph(tasks, rules).edges
+
+    @pytest.mark.parametrize("kind, witness", [("factor", [0, 0]), ("update", [3, 3]),
+                                               ("row_solve", [1, 1])])
+    def test_self_rule_is_a_cycle(self, kind, witness):
+        """A rule that makes a task its own prerequisite gives a self-edge,
+        which the Kahn pass reports as a cycle through that task alone."""
+        _, _, tasks, rules = lu_setup(4, 2)
+        with pytest.raises(errors.CyclicDependenceError) as exc:
+            build_task_graph(tasks, rules + [depend(kind, kind, 0)])
+        assert exc.value.cycle == witness
+
+
+class TestTaskGraphInput:
+    """A directly built TaskGraph checks its input as build_task_graph's does."""
+
+    def test_duplicate_task_ids_rejected(self):
+        tasks = [TaskInstance(tid, "k", 0, 0, ()) for tid in (0, 1, 0)]
+        with pytest.raises(errors.InvocationError, match="duplicate task ids"):
+            TaskGraph(tasks, [])
+
+    @pytest.mark.parametrize("pre, dep", [(0, 7), (7, 0)])
+    def test_edge_to_an_unknown_task_rejected(self, pre, dep):
+        tasks = [TaskInstance(tid, "k", 0, 0, ()) for tid in (0, 1)]
+        with pytest.raises(errors.InvocationError) as exc:
+            TaskGraph(tasks, [GraphEdge(0, 1, "rule"), GraphEdge(pre, dep, "rule")])
+        assert str(exc.value) == f"edge ({pre}, {dep}) references an unknown task"
+
+    def test_self_edge_is_a_cycle(self):
+        tasks = [TaskInstance(tid, "k", 0, 0, ()) for tid in range(4)]
+        with pytest.raises(errors.CyclicDependenceError) as exc:
+            TaskGraph(tasks, [GraphEdge(0, 1, "rule"), GraphEdge(2, 2, "rule")])
+        assert exc.value.cycle == [2, 2]
+
 
 @given(st.data())
 @settings(max_examples=60)
@@ -257,9 +302,35 @@ class TestCheckerMatchesReference:
         writes = (AccessSet(0, ((0, 2),), "write"),)
         tasks = [TaskInstance(tid, "k", 0, 0, (), writes) for tid in range(3)]
         graph = TaskGraph(tasks, [GraphEdge(1, 0, "rule")])
-        assert not graph.forward
+        assert any(pre > dep for pre, dep in graph.edge_pairs())
         report = check_dependence_sufficiency(graph)
         assert [(c.first, c.second) for c in report] == [(0, 2), (1, 2)]
+        assert report == reference_conflicts(graph)
+
+    def test_report_follows_the_ids_not_the_topological_order(self):
+        """The order [1, 0, 2, 3] meets the pair (1, 2) before (0, 3); the
+        report still lists (0, 3) first."""
+        a = (AccessSet(0, ((0, 2),), "write"),)
+        b = (AccessSet(0, ((2, 4),), "write"),)
+        tasks = [TaskInstance(tid, "k", 0, 0, (), sets)
+                 for tid, sets in enumerate((b, a, a, b))]
+        graph = TaskGraph(tasks, [GraphEdge(1, 0, "rule")])
+        assert graph.topo_order == [1, 0, 2, 3]
+        report = check_dependence_sufficiency(graph)
+        assert [(c.first, c.second) for c in report] == [(0, 3), (1, 2)]
+        assert report == reference_conflicts(graph)
+
+    def test_back_edge_pair_names_the_lower_id_first(self):
+        """Task 1 comes before task 0 in the order [1, 2, 0], and the two are
+        unordered: the report names task 0 first, with its mode first."""
+        tasks = [TaskInstance(0, "k", 0, 0, (), (AccessSet(0, ((0, 2),), "write"),)),
+                 TaskInstance(1, "k", 0, 0, (), (AccessSet(0, ((1, 3),), "read"),)),
+                 TaskInstance(2, "k", 0, 0, ())]
+        graph = TaskGraph(tasks, [GraphEdge(2, 0, "rule")])
+        assert graph.topo_order == [1, 2, 0]
+        report = check_dependence_sufficiency(graph)
+        assert [(c.first, c.second, c.overlap, c.modes) for c in report] == [
+            (0, 1, ((1, 2),), ("write", "read"))]
         assert report == reference_conflicts(graph)
 
 
@@ -317,24 +388,42 @@ def test_checker_matches_reference_on_random_graphs(data):
     assert check_dependence_sufficiency(graph) == reference_conflicts(graph)
 
 
-@given(st.data())
-@settings(max_examples=150, deadline=None)
-def test_checker_matches_reference_on_forward_graphs(data):
-    """Graphs whose edges all run forward, with gaps in the ids, where the
-    checker skips each task that is ordered with every later one.  Links
-    between neighbouring ids make such tasks common; the links left out and
-    random forward edges leave other pairs unordered."""
+def draw_linked_graph(data, ranked):
+    """Tasks with gaps in the ids on a chain of links, some left out, plus
+    random edges.  The chain and the edges follow the ids, or with ranked a
+    random rank of them, so that many edges run from a higher id to a lower
+    one.  Links make tasks ordered with every later one common; the links
+    left out and the random edges leave other pairs unordered."""
     ids = sorted(data.draw(st.sets(st.integers(0, 60), min_size=1, max_size=14)))
+    chain = data.draw(st.permutations(ids)) if ranked else ids
+    rank = {tid: i for i, tid in enumerate(chain)}
     linked = st.sampled_from([True, True, False])
-    pairs = [(a, b) for a, b in zip(ids, ids[1:]) if data.draw(linked)]
+    pairs = [(a, b) for a, b in zip(chain, chain[1:]) if data.draw(linked)]
     pairs += [(a, b) for a, b in data.draw(st.lists(
-        st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=20)) if a < b]
+        st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=20))
+        if rank[a] < rank[b]]
     tasks = [TaskInstance(tid, "k", 0, 0, (tid,),
                           tuple(draw_access_set(data, (0, 1))
                                 for _ in range(data.draw(st.integers(0, 2)))))
              for tid in ids]
-    graph = TaskGraph(tasks, [GraphEdge(a, b, "rule") for a, b in pairs])
-    assert graph.forward
+    return TaskGraph(tasks, [GraphEdge(a, b, "rule") for a, b in pairs])
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_checker_matches_reference_on_forward_graphs(data):
+    graph = draw_linked_graph(data, ranked=False)
+    assert all(pre < dep for pre, dep in graph.edge_pairs())
+    assert check_dependence_sufficiency(graph) == reference_conflicts(graph)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_checker_matches_reference_on_ranked_graphs(data):
+    """The topological order often differs from the id order, so the
+    checker meets unordered pairs higher id first and out of the report's
+    order."""
+    graph = draw_linked_graph(data, ranked=True)
     assert check_dependence_sufficiency(graph) == reference_conflicts(graph)
 
 
