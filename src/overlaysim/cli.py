@@ -128,6 +128,9 @@ def cmd_run(args) -> int:
     if args.workers < 1 or args.n < 1 or args.m < 1 or args.batch < 1:
         print("workers, n, m and batch must all be >= 1", file=sys.stderr)
         return EXIT_USAGE
+    if args.seed < 0:
+        print(f"seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return EXIT_USAGE
 
     dtype = np.float32 if args.precision == "f32" else np.float64
     prepare = _prepare_lu if args.app == "lu" else _prepare_vgg

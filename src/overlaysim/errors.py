@@ -77,8 +77,7 @@ class TaskExecutionError(OverlayError):
     exception is the __cause__.
     """
 
-    def __init__(self, task_id: int, kind: str, iteration: int | None = None,
-                 access_sets: tuple = ()):
+    def __init__(self, task_id: int, kind: str, iteration: int, access_sets: tuple):
         self.task_id = task_id
         self.kind = kind
         self.iteration = iteration

@@ -2,25 +2,22 @@
 
 Tasks enqueued on an overlay become nodes; edges come from two sources:
 distance-d dependence rules between task kinds, and the FIFO order of each
-command queue.  One rule decides when a task may start: all its graph
-predecessors have completed.  Queue order needs nothing more, since the FIFO
-edges make such a task the oldest unfinished one of its queue.  A single Kahn
-frontier applies the rule in the one scheduling loop in run(), a
-list-scheduling replay in virtual time that runs each task body, on the
-calling thread, when it starts the task on one of worker_count virtual IP
-slots, and for the topological order of a graph with an edge from a higher
-id to a lower one (with none, that order is the sorted ids).  Traces report
-the virtual times, computed from the kernels' work estimates, not wall-clock
-times; the loop starts the lowest ready id on the lowest free slot, and tasks
-whose virtual end times are equal complete together.
+command queue.  A task may start once all its graph predecessors have
+completed; the FIFO edges make such a task the oldest unfinished one of its
+queue.  One list-scheduling loop, _list_schedule, applies that rule in
+virtual time: run() drives it at worker_count virtual IP slots, running each
+task body on the calling thread as the task starts, and a graph with an edge
+from a higher id to a lower one takes its topological order from it at one
+slot with unit-length tasks.  Traces report virtual times, computed from the
+kernels' work estimates, not wall-clock times.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -57,11 +54,18 @@ class DependenceRule:
     prerequisite_kind: str
     distance: int
 
+    def __post_init__(self):
+        for kind in (self.dependent_kind, self.prerequisite_kind):
+            if not isinstance(kind, str):
+                raise RuleError(f"dependence kinds must be str, got {kind!r}")
+        if not isinstance(self.distance, int) or isinstance(self.distance, bool):
+            raise RuleError(f"dependence distance must be an int, got {self.distance!r}")
+        if self.distance < 0:
+            raise RuleError(f"dependence distance must be >= 0, got {self.distance}")
+
 
 def depend(dependent_kind: str, prerequisite_kind: str, distance: int) -> DependenceRule:
     """Declare a dependence rule; distance counts iterations backwards."""
-    if distance < 0:
-        raise RuleError(f"dependence distance must be >= 0, got {distance}")
     return DependenceRule(dependent_kind, prerequisite_kind, distance)
 
 
@@ -117,14 +121,12 @@ class TaskGraph:
         return preds
 
     def _topological_order(self) -> list[int]:
-        """Kahn's algorithm; whatever cannot be peeled off sits on a cycle."""
-        frontier = _Frontier(self)
+        """The order in which one slot starts unit-length tasks; the tasks it
+        never starts are those on a cycle or behind one."""
         order: list[int] = []
-        while frontier.ready:
-            order.append(frontier.pop())
-            frontier.complete(order[-1])
+        _list_schedule(self, 1, lambda tid, clock, slot: order.append(tid) or 1)
         if len(order) != len(self.tasks):
-            stuck = {tid for tid, d in frontier.waiting.items() if d > 0}
+            stuck = set(self.by_id).difference(order)
             raise CyclicDependenceError(_find_cycle(self.preds, stuck))
         return order
 
@@ -133,36 +135,42 @@ class TaskGraph:
         return [(pre, dep) for pre in sorted(self.succs) for dep in sorted(self.succs[pre])]
 
 
-class _Frontier:
-    """The tasks whose predecessors have all completed, as a min-heap of ids.
+def _list_schedule(graph: TaskGraph, slot_count: int, start) -> None:
+    """The one scheduling loop: list scheduling in virtual time.
 
-    ready is the heap: pop() takes out the lowest ready id, and complete(tid)
-    makes ready every successor of tid that has no other predecessor left.
-    The counters, a copy of the graph's in-degrees, count distinct
-    predecessors, since a rule edge and a queue-order edge may join the same
-    pair.
+    While a slot is free and a task is ready, the lowest ready id starts on
+    the lowest free slot, and start(tid, clock, slot) returns its duration,
+    at least 1.  Then the clock jumps to the earliest end, and every task
+    ending then completes.  Tasks on a cycle, or behind one, never start.
     """
-
-    def __init__(self, graph: TaskGraph):
-        self.succs = graph.succs
-        self.waiting = dict(graph.indegree)
-        self.ready = [tid for tid, d in self.waiting.items() if not d]
-        heapq.heapify(self.ready)
-
-    def pop(self) -> int:
-        return heapq.heappop(self.ready)
-
-    def complete(self, tid: int) -> None:
-        waiting = self.waiting
-        for nxt in self.succs[tid]:
-            left = waiting[nxt] = waiting[nxt] - 1
-            if not left:
-                heapq.heappush(self.ready, nxt)
+    succs = graph.succs
+    waiting = dict(graph.indegree)  # distinct predecessors not yet completed
+    ready = [tid for tid, d in waiting.items() if not d]
+    heapify(ready)
+    # ascending, hence a heap; lowest-first use never needs more slots than tasks
+    free = list(range(min(slot_count, len(waiting))))
+    running: list[tuple[int, int, int]] = []  # (end, slot, task id)
+    # starts happen in (vstart, id) order: nothing becomes ready while the
+    # slots fill, and every duration is at least 1
+    clock = 0
+    while ready or running:
+        while ready and free:
+            tid = heappop(ready)
+            slot = heappop(free)
+            heappush(running, (clock + start(tid, clock, slot), slot, tid))
+        clock = running[0][0]
+        while running and running[0][0] == clock:
+            _, slot, tid = heappop(running)
+            heappush(free, slot)
+            for nxt in succs[tid]:
+                left = waiting[nxt] = waiting[nxt] - 1
+                if not left:
+                    heappush(ready, nxt)
 
 
 def _find_cycle(preds: dict[int, set[int]], candidates: set[int]) -> list[int]:
-    """Extract one witness cycle among the candidates, the nodes a Kahn pass
-    left: each has a predecessor among them, so walking back stays inside."""
+    """One witness cycle among the candidates, the tasks the loop never
+    started: each has a predecessor among them, so walking back stays inside."""
     start = min(candidates)
     path: list[int] = []
     on_path: set[int] = set()
@@ -306,13 +314,12 @@ def run(overlay, graph: TaskGraph, worker_count: int = 1,
         unsafe: bool = False) -> ExecutionTrace:
     """Execute the graph on the overlay's kernels and return its trace.
 
-    worker_count is the number of virtual IP slots in the schedule model.
-    While a slot is free, the lowest ready id starts on the lowest free slot:
-    its body runs there and then, on the calling thread, and the flop count
-    it returns sets its virtual end.  Then the clock jumps to the earliest
-    end, and every task ending at that time completes.  A failing body stops
-    scheduling and is re-raised with the task id attached.  A task on a queue
-    the overlay lacks raises InvocationError before any body runs.
+    worker_count is the number of virtual IP slots of _list_schedule.  When
+    the loop starts a task, its body runs there and then, on the calling
+    thread, and the flop count it returns sets the task's virtual end.  A
+    failing body stops scheduling and is re-raised with the task id
+    attached.  A task on a queue the overlay lacks raises InvocationError
+    before any body runs.
 
     Unless unsafe is set, refuses to run a graph whose conflict report is
     non-empty, since unordered conflicting tasks would make results depend
@@ -328,32 +335,19 @@ def run(overlay, graph: TaskGraph, worker_count: int = 1,
     bodies = {q: overlay.interface(q).ip.run for q in {t.queue_no for t in graph.tasks}}
     fb = overlay.feature_buffer
     by_id = graph.by_id
-    frontier = _Frontier(graph)
-    ready, pop, complete = frontier.ready, frontier.pop, frontier.complete
-    heappop, heappush = heapq.heappop, heapq.heappush
-    # ascending, hence a heap; lowest-first use never needs more slots than tasks
-    free = list(range(min(worker_count, len(graph.tasks))))
-    running: list[tuple[int, int, int]] = []  # (end, slot, task id)
-    # starts happen in (vstart, id) order: nothing becomes ready while the
-    # slots fill, and every duration is at least 1
     records: list[TraceRecord] = []
-    clock = 0
-    while ready or running:
-        while ready and free:
-            tid, kind, queue_no, iteration, args, access_sets = by_id[pop()]
-            try:
-                flops = int(bodies[queue_no](args, fb))
-            except Exception as exc:
-                raise TaskExecutionError(tid, kind, iteration, access_sets) from exc
-            slot = heappop(free)
-            end = clock + max(1, flops // VIRTUAL_TIME_DIVISOR)
-            records.append(TraceRecord(tid, kind, iteration, queue_no, clock, end, slot))
-            heappush(running, (end, slot, tid))
-        clock = running[0][0]
-        while running and running[0][0] == clock:
-            _, slot, tid = heappop(running)
-            heappush(free, slot)
-            complete(tid)
+
+    def start(tid: int, clock: int, slot: int) -> int:
+        _, kind, queue_no, iteration, args, access_sets = by_id[tid]
+        try:
+            flops = int(bodies[queue_no](args, fb))
+        except Exception as exc:
+            raise TaskExecutionError(tid, kind, iteration, access_sets) from exc
+        duration = max(1, flops // VIRTUAL_TIME_DIVISOR)
+        records.append(TraceRecord(tid, kind, iteration, queue_no, clock, clock + duration, slot))
+        return duration
+
+    _list_schedule(graph, worker_count, start)
     if len(records) != len(graph.tasks):
         raise OverlayError("scheduler stalled with tasks remaining (graph inconsistent)")
     return ExecutionTrace(records=records, edges=graph.edge_pairs())

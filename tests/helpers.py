@@ -2,9 +2,9 @@
 
 These reimplement checks at element granularity, independently of the
 library's interval-based machinery, so the two can be compared.  The
-quadratic conflict checker, the queue-scanning virtual replay, the
-thread-pool executor, the row/column loops of the LU kernels, the one-line
-GEMM expression, the one-expression dominant matrix, the flop formulas of
+quadratic conflict checker, the heap-based Kahn pass, the queue-scanning
+virtual replay, the row/column loops of the LU kernels, the one-line GEMM
+expression, the one-expression dominant matrix, the flop formulas of
 the overlay's old run adapters, and the tensordot convolution and
 axis-reduce pool of the CNN kernels, all once used by the library, are kept
 here as the references for their replacements.  reference_split_lu writes
@@ -13,14 +13,13 @@ the LU kernels' current split out again, to pin their bits on any BLAS.
 
 import heapq
 import itertools
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
 import numpy as np
 
-from overlaysim.errors import OverlayError, ShapeError, SingularPivotError, TaskExecutionError
+from overlaysim.errors import ShapeError, SingularPivotError
 from overlaysim.kernels import BLOCK, pivot_epsilon
 from overlaysim.overlay import IpDescriptor, Overlay, command
-from overlaysim.runtime import VIRTUAL_TIME_DIVISOR, Conflict, TraceRecord, _Frontier
+from overlaysim.runtime import VIRTUAL_TIME_DIVISOR, Conflict, TraceRecord
 
 
 def element_footprint(acc):
@@ -136,8 +135,8 @@ def reference_virtual_schedule(graph, flops, worker_count):
     """The queue-scanning replay: a task is eligible when it heads its queue,
     has not started and all its predecessors are done.
 
-    With the flops of reference_threaded_execute, the reference for
-    runtime.run, which must return the same records in the same order.
+    With the flops each task's body returns, the reference for runtime.run,
+    which must return the same records in the same order.
     """
     queues = {}
     for t in sorted(graph.tasks, key=lambda t: t.id):
@@ -185,45 +184,6 @@ def reference_virtual_schedule(graph, flops, worker_count):
             queue_pos[graph.by_id[t].queue_no] += 1
     records.sort(key=lambda r: (r.vstart, r.id))
     return records
-
-
-def reference_threaded_execute(overlay, graph, worker_count):
-    """Run every task body once, respecting the graph's edges.
-
-    Ready tasks are submitted in id order as their predecessors complete.
-    Returns the per-task flop estimates reported by the kernels.  A failing
-    task aborts scheduling: unstarted tasks are cancelled and the failure is
-    re-raised with the task id attached.
-
-    The thread-pool executor runtime.run once used.  Followed by
-    reference_virtual_schedule on the flops it returns, it is the reference
-    for runtime.run.
-    """
-    frontier = _Frontier(graph)
-    in_flight: dict = {}
-    flops: dict[int, int] = {}
-    with ThreadPoolExecutor(max_workers=worker_count) as pool:
-        try:
-            while frontier.ready or in_flight:
-                while frontier.ready:
-                    t = graph.by_id[frontier.pop()]
-                    iface = overlay.interface(t.queue_no)
-                    in_flight[pool.submit(iface.ip.run, t.args, overlay.feature_buffer)] = t
-                finished, _ = wait(list(in_flight), return_when=FIRST_COMPLETED)
-                for fut in finished:
-                    task = in_flight.pop(fut)
-                    try:
-                        flops[task.id] = int(fut.result())
-                    except Exception as exc:
-                        raise TaskExecutionError(task.id, task.kind) from exc
-                    frontier.complete(task.id)
-        except Exception:
-            for fut in in_flight:
-                fut.cancel()
-            raise
-    if len(flops) != len(graph.tasks):
-        raise OverlayError("scheduler stalled with tasks remaining (graph inconsistent)")
-    return flops
 
 
 def reference_dominant_matrix(n, m, seed, dtype):

@@ -154,6 +154,13 @@ class TestRunLu:
         assert run_cli("run", "lu", "--workers", "0") == 2
 
 
+@pytest.mark.parametrize("app", ["lu", "vgg"])
+def test_negative_seed_is_usage_error(app, capsys):
+    """Refused before numpy's generator sees it, with one line and no traceback."""
+    assert run_cli("run", app, "--seed", "-1") == 2
+    assert capsys.readouterr().err == "seed must be >= 0, got -1\n"
+
+
 class TestTaskFailureReport:
     """A failed task's error names what its body raised, its iteration and
     the regions it writes; str(exc) and the exit code stay as they were."""

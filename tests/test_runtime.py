@@ -31,6 +31,7 @@ from overlaysim.runtime import (
     parse_trace,
     run,
     validate_trace,
+    DependenceRule,
     ExecutionTrace,
     GraphEdge,
     TaskGraph,
@@ -43,7 +44,6 @@ from helpers import (
     element_level_races,
     noop_overlay,
     reference_conflicts,
-    reference_threaded_execute,
     reference_topological_order,
     reference_virtual_schedule,
 )
@@ -58,8 +58,25 @@ def lu_setup(n, m, seed=0, dtype=np.float64):
 
 class TestDepend:
     def test_negative_distance(self):
-        with pytest.raises(errors.RuleError):
+        with pytest.raises(errors.RuleError, match="must be >= 0, got -1"):
             depend("a", "b", -1)
+
+    @pytest.mark.parametrize("distance", [1.5, "1", True])
+    def test_distance_that_is_not_an_int(self, distance):
+        """A float would match no iteration, a string cannot be subtracted and
+        True would pass for 1: each is refused."""
+        with pytest.raises(errors.RuleError, match="must be an int"):
+            depend("factor", "update", distance)
+
+    def test_rule_built_directly_is_checked(self):
+        with pytest.raises(errors.RuleError, match="must be >= 0, got -1"):
+            DependenceRule("a", "b", -1)
+
+    @pytest.mark.parametrize("kinds", [(1, "b"), ("a", None)])
+    def test_kind_that_is_not_a_str(self, kinds):
+        """enqueue takes only str kinds, so such a rule could never match."""
+        with pytest.raises(errors.RuleError, match="kinds must be str"):
+            DependenceRule(*kinds, 0)
 
 
 class TestBuildTaskGraph:
@@ -126,7 +143,7 @@ class TestBuildTaskGraph:
                                                ("row_solve", [1, 1])])
     def test_self_rule_is_a_cycle(self, kind, witness):
         """A rule that makes a task its own prerequisite gives a self-edge,
-        which the Kahn pass reports as a cycle through that task alone."""
+        which the graph reports as a cycle through that task alone."""
         _, _, tasks, rules = lu_setup(4, 2)
         with pytest.raises(errors.CyclicDependenceError) as exc:
             build_task_graph(tasks, rules + [depend(kind, kind, 0)])
@@ -153,6 +170,18 @@ class TestTaskGraphInput:
         with pytest.raises(errors.CyclicDependenceError) as exc:
             TaskGraph(tasks, [GraphEdge(0, 1, "rule"), GraphEdge(2, 2, "rule")])
         assert exc.value.cycle == [2, 2]
+
+    @pytest.mark.parametrize("pairs, witness", [
+        ([(3, 0), (1, 3), (3, 1)], [3, 1, 3]),
+        ([(4, 2), (2, 4), (4, 0), (0, 1)], [4, 2, 4]),
+    ])
+    def test_cycle_witness_with_a_lower_id_stuck_behind_it(self, pairs, witness):
+        """Task 0 waits on the cycle, so it never starts either; the witness
+        walks back from it into the cycle, through stuck tasks only."""
+        tasks = [TaskInstance(tid, "k", 0, 0, ()) for tid in range(5)]
+        with pytest.raises(errors.CyclicDependenceError) as exc:
+            TaskGraph(tasks, [GraphEdge(a, b, "rule") for a, b in pairs])
+        assert exc.value.cycle == witness
 
 
 @given(st.data())
@@ -580,19 +609,6 @@ def test_replay_matches_reference_on_random_graphs(data):
                 == reference_virtual_schedule(graph, flops, workers))
     trace = run(noop_overlay(3), graph, worker_count=1)
     assert [r.id for r in trace.records] == graph.topo_order
-
-
-@given(st.data())
-@settings(max_examples=100, deadline=None)
-def test_run_matches_threaded_reference_on_random_graphs(data):
-    """The one scheduling loop gives the records of the thread-pool executor
-    followed by the queue-scanning replay of the flops it collected."""
-    graph = draw_random_graph(data, max_access_sets=0)
-    overlay = flops_overlay(draw_tied_flops(data, graph))
-    for workers in (1, 2, 3, 8):
-        flops = reference_threaded_execute(overlay, graph, workers)
-        assert (run(overlay, graph, worker_count=workers).records
-                == reference_virtual_schedule(graph, flops, workers))
 
 
 def recording_overlay(overlay, calls):
