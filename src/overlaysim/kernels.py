@@ -12,8 +12,10 @@ factor of that order runs the rank-1 loop.  Both panel solves go through one
 lower triangular solver, with a unit or a stored diagonal; the column panel
 solves U^T X^T = T^T on transposed views.  A stored diagonal is checked
 against the pivot epsilon row by row in the loop, and a whole leaf at a time
-inside the recursion, before the leaf writes anything.  The CNN kernels route their input/output through either DDR views or
-the single-slot feature buffer, which holds the stored result array itself.
+inside the recursion, before the leaf writes anything.
+
+The CNN kernels route their input/output through either DDR views or the
+single-slot feature buffer, which holds the stored result array itself.
 
 Every kernel takes a task's arguments as the task tuple carries them: views,
 then plain scalar coefficients (gemm's alpha, beta, gamma) or plain bool

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -81,9 +81,9 @@ class TaskGraph:
     Construction checks its input, whoever built it: duplicate task ids and
     an edge to an unknown task raise InvocationError, and a cycle, a
     self-edge included, raises CyclicDependenceError with a witness.  It
-    records `succs`, each task's distinct successors as a tuple,
-    `indegree`, each task's count of distinct predecessors (a rule edge and
-    a queue-order edge may join the same pair), and `topo_order`, the
+    records `succs`, each task's successors as a list with one entry per
+    edge, in edge order (a rule edge and a queue-order edge may join the
+    same pair, which is then listed twice), and `topo_order`, the
     topological order that always takes the lowest ready id.  `preds`, each
     task's set of predecessors, is derived from `succs` on first read.
     """
@@ -95,17 +95,13 @@ class TaskGraph:
         if len(self.by_id) != len(self.tasks):
             raise InvocationError("duplicate task ids in graph input")
         succs: dict[int, list[int]] = {tid: [] for tid in self.by_id}
-        indegree = dict.fromkeys(self.by_id, 0)
         forward = True
-        # each distinct (pre, dep) pair once, in edge order
-        for pre, dep in dict.fromkeys(map(_edge_pair, self.edges)):
+        for pre, dep, _ in self.edges:
             if pre not in succs or dep not in succs:
                 raise InvocationError(f"edge ({pre}, {dep}) references an unknown task")
             succs[pre].append(dep)
-            indegree[dep] += 1
             forward = forward and pre < dep
-        self.succs = {tid: tuple(deps) for tid, deps in succs.items()}
-        self.indegree = indegree
+        self.succs = succs
         # with every edge running from a lower id to a higher one, the lowest
         # ready id is always the lowest id not yet taken: its predecessors
         # all have lower ids, so all are taken already
@@ -124,7 +120,7 @@ class TaskGraph:
         """The order in which one slot starts unit-length tasks; the tasks it
         never starts are those on a cycle or behind one."""
         order: list[int] = []
-        _list_schedule(self, 1, lambda tid, clock, slot: order.append(tid) or 1)
+        _list_schedule(self.succs, 1, lambda tid, clock, slot: order.append(tid) or 1)
         if len(order) != len(self.tasks):
             stuck = set(self.by_id).difference(order)
             raise CyclicDependenceError(_find_cycle(self.preds, stuck))
@@ -132,19 +128,24 @@ class TaskGraph:
 
     def edge_pairs(self) -> list[tuple[int, int]]:
         """The distinct (pre, dep) pairs of the edges, in ascending order."""
-        return [(pre, dep) for pre in sorted(self.succs) for dep in sorted(self.succs[pre])]
+        pairs = sorted((pre, dep) for pre, deps in self.succs.items() for dep in deps)
+        return list(dict.fromkeys(pairs))
 
 
-def _list_schedule(graph: TaskGraph, slot_count: int, start) -> None:
+def _list_schedule(succs: dict[int, list[int]], slot_count: int, start) -> None:
     """The one scheduling loop: list scheduling in virtual time.
 
-    While a slot is free and a task is ready, the lowest ready id starts on
-    the lowest free slot, and start(tid, clock, slot) returns its duration,
-    at least 1.  Then the clock jumps to the earliest end, and every task
-    ending then completes.  Tasks on a cycle, or behind one, never start.
+    succs maps every task id to its successors, one entry per edge, so a
+    pair joined by two edges is counted and completed twice.  While a slot
+    is free and a task is ready, the lowest ready id starts on the lowest
+    free slot, and start(tid, clock, slot) returns its duration, at least
+    1.  Then the clock jumps to the earliest end, and every task ending
+    then completes.  Tasks on a cycle, or behind one, never start.
     """
-    succs = graph.succs
-    waiting = dict(graph.indegree)  # distinct predecessors not yet completed
+    waiting = dict.fromkeys(succs, 0)  # incoming edges not yet completed
+    for deps in succs.values():
+        for dep in deps:
+            waiting[dep] += 1
     ready = [tid for tid, d in waiting.items() if not d]
     heapify(ready)
     # ascending, hence a heap; lowest-first use never needs more slots than tasks
@@ -213,17 +214,13 @@ def build_task_graph(tasks, rules) -> TaskGraph:
                 edges.append(GraphEdge._make((pre, t.id, "rule")))
 
     last_of_queue: dict[int, int] = {}
-    for t in sorted(tasks, key=_task_id):
+    for t in sorted(tasks, key=attrgetter("id")):
         earlier = last_of_queue.get(t.queue_no)
         if earlier is not None:
             edges.append(GraphEdge._make((earlier, t.id, "queue-order")))
         last_of_queue[t.queue_no] = t.id
 
     return TaskGraph(tasks, edges)
-
-
-_task_id = attrgetter("id")
-_edge_pair = itemgetter(0, 1)
 
 
 @dataclass(frozen=True)
@@ -347,7 +344,7 @@ def run(overlay, graph: TaskGraph, worker_count: int = 1,
         records.append(TraceRecord(tid, kind, iteration, queue_no, clock, clock + duration, slot))
         return duration
 
-    _list_schedule(graph, worker_count, start)
+    _list_schedule(graph.succs, worker_count, start)
     if len(records) != len(graph.tasks):
         raise OverlayError("scheduler stalled with tasks remaining (graph inconsistent)")
     return ExecutionTrace(records=records, edges=graph.edge_pairs())

@@ -11,7 +11,13 @@ from overlaysim import cli, runtime
 from overlaysim.cli import main
 from overlaysim.errors import EmptyFeatureBufferError, TaskExecutionError
 from overlaysim.tensors import TensorBuffer, new_buffer, write_tensor_text
-from overlaysim.apps import dominant_matrix, lu_overlay, vgg_overlay
+from overlaysim.apps import (
+    dominant_matrix,
+    lu_overlay,
+    random_input,
+    tiny_config,
+    vgg_overlay,
+)
 
 
 def run_cli(*argv):
@@ -95,6 +101,34 @@ class TestRunLu:
     def test_check_races_clean(self, capsys):
         assert run_cli("run", "lu", "--n", "2", "--m", "2", "--check-races") == 0
         assert "conflict report: empty" in capsys.readouterr().out
+
+    def test_check_races_with_conflicts_exits_before_the_run(self, tmp_path, capsys,
+                                                             monkeypatch):
+        """Without the factor<-update rule the report lists the pairs, the run
+        exits 1, and no task runs, so nothing is dumped."""
+        real = cli.lu_generate_tasks
+
+        def weakened(problem, overlay):
+            tasks, rules = real(problem, overlay)
+            return tasks, [r for r in rules if (r.dependent_kind, r.prerequisite_kind)
+                           != ("factor", "update")]
+
+        monkeypatch.setattr(cli, "lu_generate_tasks", weakened)
+        dump = tmp_path / "out.txt"
+        assert run_cli("run", "lu", "--n", "3", "--m", "2", "--check-races",
+                       "--dump", str(dump)) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "conflict report: 7 unordered conflicting pair(s)"
+        assert re.fullmatch(r"  tasks 3 and 4 touch buffer \d+ region \[2,4\) x \[2,4\) "
+                            r"as read_write/read_write with no ordering", lines[1])
+        assert len(lines) == 8
+        assert not dump.exists()
+
+    def test_failing_verify_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "oracle_lu", lambda a: np.zeros_like(a))
+        assert run_cli("run", "lu", "--n", "2", "--m", "2", "--verify") == 1
+        out = capsys.readouterr().out
+        assert out.startswith("verify lu: ") and "FAIL" in out
 
     @pytest.mark.parametrize("flags", [(), ("--check-races",)])
     def test_conflict_check_runs_once(self, monkeypatch, flags):
@@ -232,6 +266,19 @@ class TestRunVgg:
         assert run_cli("run", "vgg", "--seed", "5", "--workers", "4", "--dump", str(d2)) == 0
         assert d1.read_bytes() == d2.read_bytes()
 
+    @pytest.mark.parametrize("precision, dtype", [("f32", np.float32), ("f64", np.float64)])
+    def test_input_file_gives_the_seeded_default_inputs_result(self, tmp_path, precision,
+                                                               dtype):
+        """--input with the seeded default input, written out, dumps the bytes
+        of the run without --input at the same seed."""
+        src = tmp_path / "x.txt"
+        write_tensor_text(random_input(tiny_config(2), 4, dtype=dtype), src)
+        seeded, from_file = tmp_path / "seeded.txt", tmp_path / "from_file.txt"
+        common = ("run", "vgg", "--batch", "2", "--seed", "4", "--precision", precision)
+        assert run_cli(*common, "--dump", str(seeded)) == 0
+        assert run_cli(*common, "--input", str(src), "--dump", str(from_file)) == 0
+        assert from_file.read_bytes() == seeded.read_bytes()
+
     def test_small_scale_runs(self):
         assert run_cli("run", "vgg", "--scale", "small", "--batch", "2",
                        "--workers", "2", "--check-races") == 0
@@ -343,3 +390,13 @@ class TestFileErrors:
         assert err.count("\n") == 1
         assert str(tmp_path) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("header, message", [
+        ("dims two 2 2", "malformed dims header"),
+        ("dims 3 2 2", "dims header shorter than declared rank 3"),
+    ], ids=["rank-not-an-integer", "short-header"])
+    def test_bad_dims_header(self, tmp_path, capsys, header, message):
+        src = tmp_path / "a.txt"
+        src.write_text(header + "\n")
+        assert run_cli("run", "lu", "--m", "2", "--input", str(src)) == 1
+        assert capsys.readouterr().err == f"error: {src}: {message}\n"

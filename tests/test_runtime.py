@@ -486,21 +486,18 @@ def test_topological_order_matches_kahn_reference(data):
     graph = TaskGraph(tasks, edges)
     assert graph.topo_order == expected
     assert graph.edge_pairs() == sorted(set(pairs))
-    assert graph.indegree == {tid: len({a for a, b in pairs if b == tid}) for tid in ids}
+    assert sorted((a, b) for a, deps in graph.succs.items() for b in deps) == sorted(pairs)
 
 
 def assert_adjacency_matches_edges(graph):
-    """succs lists each successor once, indegree counts distinct predecessors,
-    and preds, edge_pairs() and topo_order equal references built from the
-    edges."""
+    """succs lists each edge's successor once, in edge order, and preds,
+    edge_pairs() and topo_order equal references built from the edges."""
     pairs = {(e.pre, e.dep) for e in graph.edges}
     preds = {tid: set() for tid in graph.by_id}
     for pre, dep in pairs:
         preds[dep].add(pre)
-    for tid, deps in graph.succs.items():
-        assert len(deps) == len(set(deps))
-        assert set(deps) == {dep for pre, dep in pairs if pre == tid}
-    assert graph.indegree == {tid: len(preds[tid]) for tid in graph.by_id}
+    assert graph.succs == {tid: [e.dep for e in graph.edges if e.pre == tid]
+                           for tid in graph.by_id}
     assert graph.preds == preds
     assert graph.edge_pairs() == sorted(pairs)
     assert graph.topo_order == reference_topological_order(list(graph.by_id), pairs)
@@ -519,8 +516,8 @@ def test_rule_and_queue_order_edge_on_one_pair_count_once():
     graph = build_task_graph(tasks, [depend("b", "a", 0), depend("c", "a", 0)])
     assert sorted(graph.edges) == [(0, 1, "queue-order"), (0, 1, "rule"),
                                    (0, 2, "rule"), (1, 2, "queue-order")]
-    assert graph.succs == {0: (1, 2), 1: (2,), 2: ()}
-    assert graph.indegree == {0: 0, 1: 1, 2: 2}
+    assert graph.succs == {0: [1, 2, 1], 1: [2], 2: []}
+    assert graph.preds == {0: set(), 1: {0}, 2: {0, 1}}
     assert_adjacency_matches_edges(graph)
 
 
@@ -554,8 +551,56 @@ def test_wide_fan_out_builds_in_linear_time():
     start = time.perf_counter()
     graph = TaskGraph(tasks, edges)
     assert time.perf_counter() - start < 1.0
-    assert graph.succs[0] == tuple(range(1, n + 1))
-    assert set(graph.indegree.values()) == {0, 1}
+    assert graph.succs[0] == list(range(1, n + 1)) * 2
+    assert graph.edge_pairs() == [(0, dep) for dep in range(1, n + 1)]
+
+
+def assert_repeated_edges_change_nothing(data, tasks, edges):
+    """TaskGraph(tasks, edges + repeats), the repeats drawn from the edges
+    themselves in any order, gives what TaskGraph(tasks, edges) gives: the
+    same topo_order or cycle witness, edge_pairs(), preds and conflict
+    report, and the same run() trace at 1, 2, 3 and 8 workers."""
+    repeats = data.draw(st.lists(st.sampled_from(edges), max_size=2 * len(edges))
+                        if edges else st.just([]))
+    try:
+        graph = TaskGraph(tasks, edges)
+    except errors.CyclicDependenceError as exc:
+        with pytest.raises(errors.CyclicDependenceError) as twin_exc:
+            TaskGraph(tasks, edges + repeats)
+        assert twin_exc.value.cycle == exc.cycle
+        return
+    twin = TaskGraph(tasks, edges + repeats)
+    assert twin.topo_order == graph.topo_order
+    assert twin.edge_pairs() == graph.edge_pairs()
+    assert twin.preds == graph.preds
+    assert check_dependence_sufficiency(twin) == check_dependence_sufficiency(graph)
+    overlay = flops_overlay(draw_tied_flops(data, graph))
+    for workers in (1, 2, 3, 8):
+        assert (run(overlay, twin, workers, unsafe=True)
+                == run(overlay, graph, workers, unsafe=True))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_repeated_edges_change_nothing_on_random_graphs(data):
+    """Rule and queue-order edges of generated tasks, with back edges."""
+    graph = draw_random_graph(data)
+    assert_repeated_edges_change_nothing(data, graph.tasks, graph.edges)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_repeated_edges_change_nothing_on_arbitrary_graphs(data):
+    """Arbitrary edges, self-edges included, which often close a cycle."""
+    ids = data.draw(st.lists(st.integers(0, 60), min_size=1, max_size=12, unique=True))
+    tasks = [TaskInstance(tid, "k", data.draw(st.integers(0, 2)), 0, (tid,),
+                          tuple(draw_access_set(data, (0, 1))
+                                for _ in range(data.draw(st.integers(0, 2)))))
+             for tid in ids]
+    edges = [GraphEdge(a, b, data.draw(st.sampled_from(["rule", "queue-order"])))
+             for a, b in data.draw(st.lists(st.tuples(st.sampled_from(ids),
+                                                       st.sampled_from(ids)), max_size=20))]
+    assert_repeated_edges_change_nothing(data, tasks, edges)
 
 
 class TestTaskInstance:
@@ -808,6 +853,19 @@ class TestRun:
         for a, b in zip(trace.records, trace.records[1:]):
             assert a.vend == b.vstart
 
+    def test_edge_added_after_construction_stalls_the_run(self):
+        """A back edge appended to succs after the cycle check leaves tasks
+        1 and 2 waiting on each other: only task 0 runs."""
+        ran = []
+        ov = Overlay("tagged", [command(IpDescriptor(
+            "Tagged", ("scalar",), lambda args, fb: ran.append(args[0]) or 1,
+            lambda args, fb: ()), 0)])
+        graph = build_task_graph([ov.enqueue(0, [i], i) for i in range(3)], [])
+        graph.succs[2].append(1)
+        with pytest.raises(errors.OverlayError, match="scheduler stalled"):
+            run(ov, graph, worker_count=2)
+        assert ran == [0]
+
     def test_queue_intervals_disjoint_and_fifo(self):
         _, overlay, tasks, rules = lu_setup(4, 2)
         graph = build_task_graph(tasks, rules)
@@ -958,6 +1016,20 @@ class TestTraceFiles:
         with pytest.raises(errors.ParseError):
             parse_trace(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ('[0, 1]\n{"edges": []}\n', ":1: expected a JSON object"),
+        ('{"edges": []}\n{"id":0,"kind":"k","iter":0,"queue":0,"vstart":0,"vend":1,'
+         '"worker":0}\n', ":1: edges object must be the last line"),
+        ('{"id":0,"kind":"k","iter":0,"queue":0,"vstart":0,"vend":1,"worker":0}\n'
+         '{"edges": {"0": 1}}\n', ":2: edges must be a list"),
+    ], ids=["not-an-object", "edges-not-last", "edges-not-a-list"])
+    def test_parse_rejects_misplaced_or_mistyped_lines(self, tmp_path, text, message):
+        path = tmp_path / "bad.trace"
+        path.write_text(text)
+        with pytest.raises(errors.ParseError) as exc:
+            parse_trace(path)
+        assert str(exc.value) == f"{path}{message}"
+
     @pytest.mark.parametrize("text, lineno", [
         ('{"id":true,"kind":"k","iter":0,"queue":0,"vstart":0,"vend":1,"worker":false}\n'
          '{"edges":[]}\n', 1),
@@ -994,6 +1066,11 @@ class TestTraceFiles:
         problems = validate_trace(ExecutionTrace(rs, []))
         assert problems == ["task 0: zero length at vstart 5",
                             "task 1: zero length at vstart 5"]
+
+    def test_validate_catches_duplicated_id(self):
+        rs = [TraceRecord(2, "k", 0, 0, 0, 1, 0), TraceRecord(2, "k", 0, 1, 1, 2, 0)]
+        problems = validate_trace(ExecutionTrace(rs, []))
+        assert problems == ["task id 2 appears more than once"]
 
     def test_validate_catches_negative_worker(self):
         rs = [TraceRecord(4, "k", 0, 0, 0, 1, -3)]
