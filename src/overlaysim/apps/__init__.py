@@ -20,11 +20,3 @@ from .vgg import (
     vgg_overlay,
     vgg_rules,
 )
-
-__all__ = [
-    "LuProblem", "dominant_matrix", "lu_decompose", "lu_generate_tasks",
-    "lu_overlay", "lu_rules",
-    "VggConfig", "VggWeights", "random_input", "seeded_weights",
-    "small_config", "tiny_config", "vgg_forward", "vgg_generate_tasks",
-    "vgg_overlay", "vgg_rules",
-]

@@ -15,7 +15,9 @@ against the pivot epsilon row by row in the loop, and a whole leaf at a time
 inside the recursion, before the leaf writes anything.
 
 The CNN kernels route their input/output through either DDR views or the
-single-slot feature buffer, which holds the stored result array itself.
+single-slot feature buffer, which holds the stored result array itself.  In
+access sets the slot is a view of a one-element buffer, with an id from the
+same counter as every other buffer's.
 
 Every kernel takes a task's arguments as the task tuple carries them: views,
 then plain scalar coefficients (gemm's alpha, beta, gamma) or plain bool
@@ -43,8 +45,7 @@ from .errors import (
     ShapeError,
     SingularPivotError,
 )
-from .tensors import (MODES, READ, READ_WRITE, WRITE, AccessSet, BlockView, access_set,
-                      next_resource_id)
+from .tensors import READ, READ_WRITE, WRITE, AccessSet, BlockView, access_set, new_buffer
 
 # pivots below this magnitude count as singular (no pivoting is performed)
 PIVOT_EPSILON = {
@@ -67,26 +68,20 @@ class FeatureBuffer:
     """Single on-chip slot carrying an intermediate feature map between layers.
 
     slot holds the stored array itself, not a copy: every kernel stores a
-    freshly allocated result, which nothing else references.  shape_log
-    records every stored shape, in order, so tests can follow the spatial
-    extents through a pipeline.
+    freshly allocated result, which nothing else references.  cell is a view
+    of a one-element buffer that stands for the slot in access sets, so any
+    two uses of the slot with a write conflict.  shape_log records every
+    stored shape, in order, so tests can follow the spatial extents through
+    a pipeline.
     """
 
     slot: np.ndarray | None = None
-    resource_id: int = field(default_factory=next_resource_id)
+    cell: BlockView = field(default_factory=lambda: new_buffer([1]).view())
     shape_log: list = field(default_factory=list)
-
-    def __post_init__(self):
-        # one access set per mode, shared by every task that touches the slot
-        self._access = {mode: AccessSet(self.resource_id, ((0, 1),), mode) for mode in MODES}
 
     def store(self, arr: np.ndarray) -> None:
         self.slot = arr
         self.shape_log.append(tuple(arr.shape))
-
-    def access(self, mode: str) -> AccessSet:
-        """The slot as a one-cell resource: any two uses with a write conflict."""
-        return self._access[mode]
 
 
 def _stored_map(fb: FeatureBuffer | None, what: str) -> np.ndarray:
@@ -472,9 +467,9 @@ def convolution_access_sets(x: BlockView, y: BlockView, w: BlockView,
                             fb: FeatureBuffer) -> tuple[AccessSet, ...]:
     """The input, the weights and the output; a view that a flag routes
     through the feature buffer is not touched, so it has no access set."""
-    return (fb.access(READ) if read_input_from_buffer else access_set(x, READ),
+    return (access_set(fb.cell if read_input_from_buffer else x, READ),
             access_set(w, READ),
-            fb.access(WRITE) if store_output_to_buffer else access_set(y, WRITE))
+            access_set(fb.cell if store_output_to_buffer else y, WRITE))
 
 
 def maxpool(y: BlockView, store_output_to_buffer: bool, fb: FeatureBuffer | None) -> int:
@@ -503,5 +498,5 @@ def maxpool(y: BlockView, store_output_to_buffer: bool, fb: FeatureBuffer | None
 def maxpool_access_sets(y: BlockView, store_output_to_buffer: bool,
                         fb: FeatureBuffer) -> tuple[AccessSet, ...]:
     if store_output_to_buffer:
-        return (fb.access(READ_WRITE),)
-    return (fb.access(READ), access_set(y, WRITE))
+        return (access_set(fb.cell, READ_WRITE),)
+    return (access_set(fb.cell, READ), access_set(y, WRITE))

@@ -31,11 +31,6 @@ MODES = (READ, WRITE, READ_WRITE)
 _id_counter = itertools.count()
 
 
-def next_resource_id() -> int:
-    """Allocate a process-unique id; buffers and the feature-buffer slot share the space."""
-    return next(_id_counter)
-
-
 def _checked_shape(shape) -> tuple[int, ...]:
     shape = tuple(int(e) for e in shape)
     if not shape:
@@ -57,7 +52,7 @@ class TensorBuffer:
         if arr.dtype not in FLOAT_DTYPES:
             arr = arr.astype(DEFAULT_DTYPE)
         _checked_shape(arr.shape)
-        self.id = next_resource_id()
+        self.id = next(_id_counter)
         self.data = arr
         self.full_ranges = tuple((0, e) for e in arr.shape)
 
@@ -211,17 +206,6 @@ def cropped(buf: TensorBuffer, axis: int, start: int, extent: int) -> BlockView:
     return _checked_view(buf, ranges, buf.data[(_ALL,) * axis + (slice(start, stop),)])
 
 
-def ranges_intersection(a, b):
-    """Per-axis intersection, or None when any axis is disjoint."""
-    out = []
-    for (lo1, hi1), (lo2, hi2) in zip(a, b):
-        lo, hi = max(lo1, lo2), min(hi1, hi2)
-        if lo >= hi:
-            return None
-        out.append((lo, hi))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class AccessSet:
     """The element ranges one task touches in one buffer, tagged read/write."""
@@ -248,7 +232,13 @@ class AccessSet:
         one writes; None otherwise, including when the ranges are disjoint."""
         if self.buffer_id != other.buffer_id or self.mode == other.mode == READ:
             return None
-        return ranges_intersection(self.ranges, other.ranges)
+        out = []
+        for (lo1, hi1), (lo2, hi2) in zip(self.ranges, other.ranges):
+            lo, hi = max(lo1, lo2), min(hi1, hi2)
+            if lo >= hi:
+                return None
+            out.append((lo, hi))
+        return tuple(out)
 
 
 def access_set(view: BlockView, mode: str) -> AccessSet:
@@ -274,7 +264,7 @@ def read_text(path) -> str:
 
 # --- tensor-text v1 -------------------------------------------------------
 #
-# Line 1:  dims d e1 e2 ... ed
+# Line 1:  dims d e1 e2 ... ed, and nothing else.
 # Then whitespace-separated decimal floats in row-major order.
 
 def write_tensor_text(buf: TensorBuffer, path) -> None:
@@ -289,18 +279,20 @@ def write_tensor_text(buf: TensorBuffer, path) -> None:
 
 
 def read_tensor_text(path, dtype=DEFAULT_DTYPE) -> TensorBuffer:
-    tokens = read_text(path).split()
+    header, _, rest = read_text(path).partition("\n")
+    tokens = header.split()
     if not tokens or tokens[0] != "dims":
         raise ParseError(f"{path}: expected leading 'dims' header")
     try:
         rank = int(tokens[1])
-        extents = [int(t) for t in tokens[2:2 + rank]]
+        extents = [int(t) for t in tokens[2:]]
     except (IndexError, ValueError) as exc:
         raise ParseError(f"{path}: malformed dims header") from exc
     if len(extents) != rank:
-        raise ParseError(f"{path}: dims header shorter than declared rank {rank}")
+        word = "shorter" if len(extents) < rank else "longer"
+        raise ParseError(f"{path}: dims header {word} than declared rank {rank}")
     shape = _checked_shape(extents)
-    body = tokens[2 + rank:]
+    body = rest.split()
     count = int(np.prod(shape))
     if len(body) != count:
         raise ParseError(f"{path}: expected {count} values, found {len(body)}")

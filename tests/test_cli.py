@@ -242,7 +242,7 @@ class TestTaskFailureReport:
         assert capsys.readouterr().err.splitlines() == [
             "  cause: EmptyFeatureBufferError: maxpool reads the feature buffer, which is empty",
             "  iteration: 0",
-            f"  writes: buffer {overlay.feature_buffer.resource_id} region [0,1)"]
+            f"  writes: buffer {overlay.feature_buffer.cell.buffer.id} region [0,1)"]
 
 
 class TestRunVgg:
@@ -294,7 +294,25 @@ class TestInspect:
         out = capsys.readouterr().out
         assert "9 tasks" in out
         assert "worker 0: busy 9 (100.0% of span)" in out
+        # the longest chain of edges is shorter than the serial span
+        assert "critical path: 7 virtual time units" in out.splitlines()
         assert "validation OK" in out
+
+    def test_critical_path_of_a_diamond(self, tmp_path, capsys):
+        """Edges 0->1, 0->2, 1->3 and 2->3 with durations 1, 5, 2 and 1: the
+        longest path runs through task 1, 1 + 5 + 1."""
+        trace = tmp_path / "diamond.trace"
+        trace.write_text(
+            '{"id": 0, "kind": "a", "iter": 0, "queue": 0, "vstart": 0, "vend": 1, "worker": 0}\n'
+            '{"id": 1, "kind": "b", "iter": 0, "queue": 1, "vstart": 1, "vend": 6, "worker": 0}\n'
+            '{"id": 2, "kind": "c", "iter": 0, "queue": 2, "vstart": 1, "vend": 3, "worker": 1}\n'
+            '{"id": 3, "kind": "d", "iter": 0, "queue": 3, "vstart": 6, "vend": 7, "worker": 0}\n'
+            '{"edges": [[0, 1], [0, 2], [1, 3], [2, 3]]}\n')
+        assert run_cli("inspect-trace", str(trace)) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "4 tasks, 4 edges, virtual span [0, 7)"
+        assert "critical path: 7 virtual time units" in out
+        assert out[-1].startswith("validation OK")
 
     def test_corrupted_trace_fails_validation(self, tmp_path, capsys):
         trace = tmp_path / "t.trace"
@@ -394,7 +412,10 @@ class TestFileErrors:
     @pytest.mark.parametrize("header, message", [
         ("dims two 2 2", "malformed dims header"),
         ("dims 3 2 2", "dims header shorter than declared rank 3"),
-    ], ids=["rank-not-an-integer", "short-header"])
+        # the header is line 1 alone: the next line's 4 is not its second extent
+        ("dims 2 4\n4 10 0 0 0 0 10 0 0 0 0 10 0 0 0 0 10",
+         "dims header shorter than declared rank 2"),
+    ], ids=["rank-not-an-integer", "short-header", "header-split-over-two-lines"])
     def test_bad_dims_header(self, tmp_path, capsys, header, message):
         src = tmp_path / "a.txt"
         src.write_text(header + "\n")

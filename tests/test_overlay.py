@@ -355,7 +355,7 @@ def buffer_shapes(overlay, tasks):
     shapes = {arg.buffer.id: arg.buffer.shape
               for task in tasks for arg in task.args if isinstance(arg, BlockView)}
     if overlay.feature_buffer is not None:
-        shapes[overlay.feature_buffer.resource_id] = (1,)
+        shapes[overlay.feature_buffer.cell.buffer.id] = (1,)
     return shapes
 
 
@@ -390,7 +390,7 @@ def test_feature_buffer_access_sets_ignore_dummies():
     assert x.id not in touched
     assert y.id not in touched
     assert w.id in touched
-    assert ov.feature_buffer.resource_id in touched
+    assert ov.feature_buffer.cell.buffer.id in touched
 
 
 def lu_graph(n, m):

@@ -1,5 +1,6 @@
 """Graph construction, conflict checking, scheduling, and trace handling."""
 
+import dataclasses
 import threading
 import time
 import tracemalloc
@@ -171,6 +172,15 @@ class TestTaskGraphInput:
             TaskGraph(tasks, [GraphEdge(0, 1, "rule"), GraphEdge(2, 2, "rule")])
         assert exc.value.cycle == [2, 2]
 
+    def test_cycle_witness_with_a_chord(self):
+        """The walk starts at the lowest stuck id and steps back to the lowest
+        stuck predecessor, so the chord (1, 3) cuts the three-cycle short."""
+        tasks = [TaskInstance(tid, "k", 0, 0, ()) for tid in range(4)]
+        pairs = [(1, 2), (2, 3), (3, 1), (1, 3)]
+        with pytest.raises(errors.CyclicDependenceError) as exc:
+            TaskGraph(tasks, [GraphEdge(a, b, "rule") for a, b in pairs])
+        assert exc.value.cycle == [1, 3, 1]
+
     @pytest.mark.parametrize("pairs, witness", [
         ([(3, 0), (1, 3), (3, 1)], [3, 1, 3]),
         ([(4, 2), (2, 4), (4, 0), (0, 1)], [4, 2, 4]),
@@ -246,6 +256,13 @@ class TestSufficiency:
         assert hits
         assert hits[0].overlap == ((m, 2 * m), (m, 2 * m))
         assert hits[0].buffer_id == problem.a.id
+
+    def test_conflict_is_frozen(self):
+        _, _, tasks, rules = lu_setup(3, 2)
+        weakened = [r for r in rules if r.dependent_kind != "factor"]
+        conflict = check_dependence_sufficiency(build_task_graph(tasks, weakened))[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            conflict.first = 0
 
     def test_conflict_report_text(self):
         problem, _, tasks, rules = lu_setup(3, 2)
@@ -831,7 +848,7 @@ class TestRun:
     def test_bad_worker_count(self):
         ov = noop_overlay(1)
         graph = build_task_graph([ov.enqueue(0, [], 0)], [])
-        with pytest.raises(errors.InvocationError):
+        with pytest.raises(errors.InvocationError, match="^worker_count must be >= 1, got 0$"):
             run(ov, graph, worker_count=0)
 
     def test_unknown_queue_raises_before_any_body(self):
@@ -1001,8 +1018,9 @@ class TestTraceFiles:
     def test_parse_rejects_bad_json(self, tmp_path):
         path = tmp_path / "bad.trace"
         path.write_text("{oops\n")
-        with pytest.raises(errors.ParseError):
+        with pytest.raises(errors.ParseError) as exc:
             parse_trace(path)
+        assert str(exc.value) == f"{path}:1: not valid JSON"
 
     def test_parse_rejects_missing_edges_line(self, tmp_path):
         path = tmp_path / "bad.trace"
@@ -1013,8 +1031,9 @@ class TestTraceFiles:
     def test_parse_rejects_wrong_keys(self, tmp_path):
         path = tmp_path / "bad.trace"
         path.write_text('{"id":0,"kind":"k"}\n{"edges":[]}\n')
-        with pytest.raises(errors.ParseError):
+        with pytest.raises(errors.ParseError) as exc:
             parse_trace(path)
+        assert str(exc.value) == f"{path}:1: record keys ['id', 'kind'] do not match schema"
 
     @pytest.mark.parametrize("text, message", [
         ('[0, 1]\n{"edges": []}\n', ":1: expected a JSON object"),
@@ -1022,7 +1041,8 @@ class TestTraceFiles:
          '"worker":0}\n', ":1: edges object must be the last line"),
         ('{"id":0,"kind":"k","iter":0,"queue":0,"vstart":0,"vend":1,"worker":0}\n'
          '{"edges": {"0": 1}}\n', ":2: edges must be a list"),
-    ], ids=["not-an-object", "edges-not-last", "edges-not-a-list"])
+        ('{"edges": [[1, 2, 3]]}\n', ":1: bad edge entry [1, 2, 3]"),
+    ], ids=["not-an-object", "edges-not-last", "edges-not-a-list", "three-element-edge"])
     def test_parse_rejects_misplaced_or_mistyped_lines(self, tmp_path, text, message):
         path = tmp_path / "bad.trace"
         path.write_text(text)
@@ -1072,6 +1092,11 @@ class TestTraceFiles:
         problems = validate_trace(ExecutionTrace(rs, []))
         assert problems == ["task id 2 appears more than once"]
 
+    def test_duplicated_id_on_one_queue_is_not_a_fifo_violation(self):
+        rs = [TraceRecord(2, "k", 0, 0, 0, 1, 0), TraceRecord(2, "k", 1, 0, 1, 2, 0)]
+        problems = validate_trace(ExecutionTrace(rs, []))
+        assert problems == ["task id 2 appears more than once"]
+
     def test_validate_catches_negative_worker(self):
         rs = [TraceRecord(4, "k", 0, 0, 0, 1, -3)]
         problems = validate_trace(ExecutionTrace(rs, []))
@@ -1095,6 +1120,12 @@ class TestTraceFiles:
         rs = [TraceRecord(0, "k", 0, 0, 0, 1, 0)]
         problems = validate_trace(ExecutionTrace(rs, [edge]))
         assert problems == [f"edge {edge} references an unknown task"]
+
+    def test_edges_after_an_unknown_endpoint_are_still_checked(self):
+        rs = [TraceRecord(0, "k", 0, 0, 0, 2, 0), TraceRecord(1, "k", 0, 1, 0, 2, 1)]
+        problems = validate_trace(ExecutionTrace(rs, [(9, 0), (0, 1)]))
+        assert problems == ["edge (9, 0) references an unknown task",
+                            "edge (0, 1): predecessor ends at 2, successor starts at 0"]
 
     def test_validate_catches_edge_violation(self):
         rs = [TraceRecord(0, "k", 0, 0, 0, 2, 0), TraceRecord(1, "k", 0, 1, 0, 2, 1)]

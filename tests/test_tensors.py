@@ -403,6 +403,18 @@ class TestTensorText:
         with pytest.raises(errors.ParseError):
             read_tensor_text(path)
 
+    @pytest.mark.parametrize("header, message", [
+        ("dims 2 2 2 1.0", "malformed dims header"),
+        ("dims 2 2 2 1", "dims header longer than declared rank 2"),
+    ], ids=["extra-float", "extra-integer"])
+    def test_extra_token_on_the_header_line(self, tmp_path, header, message):
+        """Line 1 holds the header alone; a value on it is not the first of the body."""
+        path = tmp_path / "bad.txt"
+        path.write_text(header + "\n2.0 3.0 4.0\n")
+        with pytest.raises(errors.ParseError) as exc:
+            read_tensor_text(path)
+        assert str(exc.value) == f"{path}: {message}"
+
     def test_wrong_value_count(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("dims 2 2 2\n1.0 2.0 3.0\n")
