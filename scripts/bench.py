@@ -29,11 +29,14 @@ perfbench/run.py and one of this checkout's, back to back.  The pairs
 alternate which one runs first, so a drift in the machine's speed favours
 neither.  It prints each pair's run_s; then, for each workload and each
 end-to-end metric of BENCHMARK.json, each side's median and interquartile
-range, how many pairs this checkout won (the better value), and the verdict
-of the claim rule for a gain of this checkout: won at least 9 pairs in 10,
-and a median better by more than the other checkout's interquartile range.
-Last, whether the digest lines agree.  It exits 1 if any process failed or
-reported an incorrect result.
+range, how many pairs this checkout won (the better value), the verdict of
+the claim rule for a gain of this checkout (won at least 9 pairs in 10, and
+a median better by more than the other checkout's interquartile range), and
+the verdict of the regression rule: REGRESSED when this checkout's median is
+worse than the other's by more than the metric's `bound` in BENCHMARK.json,
+a fraction of the other's median, else within bound.  Last, whether the
+digest lines agree.  It exits 1 if any process failed or reported an
+incorrect result.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = ("lu_coarse", "lu_fine", "vgg_batch")
 # end-to-end metric -> 1 when lower is better, -1 when higher is
 END_TO_END = {m["name"]: 1 if m["better"] == "lower" else -1 for m in BENCHMARK["end_to_end"]}
+# end-to-end metric -> the largest worsening allowed, a fraction of the other median
+BOUND = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 SEED = 1
 CLAIM_WIN_SHARE = 0.9  # the claim rule: at least 9 pairs in 10 won
 
@@ -196,6 +201,14 @@ def claim_verdict(metric: str, wins: int, complete: int, other: dict, this: dict
     return f"gap {gap:+.4g}, other IQR {iqr:.4g}: {'MET' if met else 'not met'}"
 
 
+def regression_verdict(metric: str, other: dict, this: dict) -> str:
+    """The regression rule for this checkout on one metric: its median worse
+    than the other's by more than the metric's bound times the other's median."""
+    worse = END_TO_END[metric] * (this["median"] - other["median"]) / other["median"]
+    return (f"worse by {worse:+.1%}, bound {BOUND[metric]:.0%}: "
+            f"{'REGRESSED' if worse > BOUND[metric] else 'within bound'}")
+
+
 def pairs(args) -> int:
     timeout = 10 * args.seconds + 300
     roots = {"other": Path(args.pairs).resolve(), "this": ROOT}
@@ -236,11 +249,13 @@ def pairs(args) -> int:
                   f"{this / other:10.3f}", flush=True)
     print(f"claim rule for a gain of this checkout: at least {CLAIM_WIN_SHARE:.0%} of the "
           f"pairs won, and the medians' gap larger than the other checkout's IQR")
+    print("regression rule for this checkout: REGRESSED when its median is worse than the "
+          "other's by more than the metric's bound in BENCHMARK.json")
     for w in workloads:
         complete = len(got_pairs[w])
         print(f"{w}: {complete} complete pair(s)")
         print(f"  {'metric':<12} {'other median (IQR)':>26} {'this median (IQR)':>26} "
-              f"{'this/other':>10} {'won':>7}  claim rule")
+              f"{'this/other':>10} {'won':>7}  claim rule; regression rule")
         for m in END_TO_END:
             if not (values[w]["other"][m] and values[w]["this"][m]):
                 continue
@@ -251,7 +266,8 @@ def pairs(args) -> int:
             print(f"  {m:<12} {cells[0]:>26} {cells[1]:>26} "
                   f"{q['this']['median'] / q['other']['median']:10.3f} "
                   f"{f'{wins}/{complete}':>7}  "
-                  f"{claim_verdict(m, wins, complete, q['other'], q['this'])}")
+                  f"{claim_verdict(m, wins, complete, q['other'], q['this'])}; "
+                  f"{regression_verdict(m, q['other'], q['this'])}")
         same = model[w]["this"] == model[w]["other"]
         print(f"  model digest lines {'identical' if same else 'DIFFER'}")
     if failed:

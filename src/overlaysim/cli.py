@@ -78,8 +78,6 @@ def make_parser() -> argparse.ArgumentParser:
                        help="compare against the reference oracle")
     p_run.add_argument("--check-races", action="store_true",
                        help="print the conflict report and fail if non-empty")
-    p_run.add_argument("--unsafe", action="store_true",
-                       help="execute even if the conflict report is non-empty")
 
     p_inspect = sub.add_parser("inspect-trace", help="summarize and validate a trace file")
     p_inspect.add_argument("path")
@@ -148,7 +146,7 @@ def cmd_run(args) -> int:
         print("conflict report: empty")
 
     # an empty report above already cleared the graph, so run() need not check again
-    trace = run(overlay, graph, args.workers, unsafe=args.unsafe or args.check_races)
+    trace = run(overlay, graph, args.workers, unsafe=args.check_races)
     if args.trace:
         emit_trace(trace, args.trace)
         print(f"trace: {len(trace.records)} records -> {args.trace}")

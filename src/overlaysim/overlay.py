@@ -51,20 +51,15 @@ class CommandInterface:
     ip: IpDescriptor
 
 
-def command(ip: IpDescriptor, queue_no: int,
-            signature: tuple[str, ...] | None = None) -> CommandInterface:
+def command(ip: IpDescriptor, queue_no: int) -> CommandInterface:
     """Bind an IP to a command queue number.
 
-    An explicit signature, when given, must match the IP's own; queue number
-    collisions are caught at overlay construction.
+    Queue number collisions are caught at overlay construction, and a
+    manifest's declared signature is checked against the IP's by
+    load_overlay.
     """
     if queue_no < 0:
         raise ConfigurationError(f"queue number must be >= 0, got {queue_no}")
-    if signature is not None and tuple(signature) != ip.signature:
-        raise ConfigurationError(
-            f"{ip.name}: declared signature {tuple(signature)} does not match "
-            f"kernel signature {ip.signature}"
-        )
     return CommandInterface(queue_no, ip)
 
 

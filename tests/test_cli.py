@@ -187,6 +187,29 @@ class TestRunLu:
         assert run_cli("run", "lu", "--n", "0", "--m", "2") == 2
         assert run_cli("run", "lu", "--workers", "0") == 2
 
+    def test_unsafe_is_not_a_run_flag(self, capsys):
+        """Every graph the CLI builds has an empty conflict report, so run
+        has no flag to skip the check."""
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "lu", "--unsafe")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --unsafe" in err
+        assert "Traceback" not in err
+
+    def test_manifest_swapping_the_panel_queues_fails_at_enqueue(self, tmp_path, capsys):
+        manifest = tmp_path / "lu.overlay.json"
+        assert run_cli("build", "lu", "--out", str(manifest)) == 0
+        doc = json.loads(manifest.read_text())
+        doc["ips"][1]["queue"], doc["ips"][2]["queue"] = 2, 1
+        manifest.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("run", "lu", "--n", "3", "--m", "2", "--overlay", str(manifest)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: transform_column_panel: panel must be (k*m) x m "
+                                "with k >= 2, got (2, 6)\n")
+        assert captured.out == ""
+
 
 @pytest.mark.parametrize("app", ["lu", "vgg"])
 def test_negative_seed_is_usage_error(app, capsys):

@@ -537,6 +537,26 @@ class TestConvolution:
         with pytest.raises(errors.ShapeError):
             convolution(x, y, w, *DDR_FLAGS, None)
 
+    def test_rank2_input_rejected(self):
+        x = view_of(np.zeros((4, 4)))
+        y = view_of(np.zeros((4, 4, 1)))
+        with pytest.raises(errors.ShapeError,
+                           match=r"convolution input: expected rank 3, got shape \(4, 4\)"):
+            convolution(x, y, view_of(np.zeros((1, 1, 1, 1))), *DDR_FLAGS, None)
+
+    def test_store_without_a_feature_buffer(self):
+        x = view_of(np.zeros((2, 2, 1)))
+        with pytest.raises(errors.EmptyFeatureBufferError,
+                           match="no feature buffer available for store"):
+            convolution(x, x, view_of(np.zeros((1, 1, 1, 1))), False, True, False, False, None)
+
+    def test_output_view_of_the_wrong_size(self):
+        x = view_of(np.zeros((2, 2, 1)))
+        y = view_of(np.zeros((2, 2, 2)))
+        with pytest.raises(errors.ShapeError,
+                           match="output view holds 8 elements, result has 4"):
+            convolution(x, y, view_of(np.zeros((1, 1, 1, 1))), *DDR_FLAGS, None)
+
     def test_read_from_empty_feature_buffer(self):
         flags = (True, False, False, False)
         x = view_of(np.zeros((2, 2, 1)))

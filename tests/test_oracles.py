@@ -63,6 +63,18 @@ class TestNaiveLayers:
         w = np.array([[1.0, 2.0], [0.0, -1.0]])
         np.testing.assert_allclose(fc_naive(w, np.array([3.0, 4.0])), [11.0, -4.0])
 
+    def test_conv_channel_mismatch(self):
+        with pytest.raises(errors.ShapeError, match="conv2d_naive: channel mismatch 2 vs 3"):
+            conv2d_naive(np.ones((4, 4, 2)), np.zeros((3, 3, 3, 1)))
+
+    def test_pool_odd_extents(self):
+        with pytest.raises(errors.ShapeError, match="maxpool2x2_naive: odd spatial extents"):
+            maxpool2x2_naive(np.ones((3, 4, 1)))
+
+    def test_fc_wrong_vector_length(self):
+        with pytest.raises(errors.ShapeError, match="fc_naive: weights expect 2 inputs"):
+            fc_naive(np.ones((2, 2)), np.ones(3))
+
 
 class TestCnnForward:
     def test_zero_weights(self):

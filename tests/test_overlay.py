@@ -40,13 +40,6 @@ def test_command_binds_queue():
     assert ci.ip.name == "LU"
 
 
-def test_command_signature_checked():
-    command(IP_REGISTRY["GEMM"], 3,
-            signature=("view", "view", "view", "scalar", "scalar", "scalar"))
-    with pytest.raises(errors.ConfigurationError):
-        command(IP_REGISTRY["GEMM"], 3, signature=("view",))
-
-
 def test_duplicate_queue_rejected():
     with pytest.raises(errors.ConfigurationError):
         Overlay("dup", [command(IP_REGISTRY["LU"], 1),

@@ -16,6 +16,7 @@ from overlaysim.tensors import (
     WRITE,
     AccessSet,
     BlockView,
+    TensorBuffer,
     access_set,
     bcropped,
     cropped,
@@ -62,6 +63,17 @@ def test_float32_selectable():
     assert buf.dtype == np.float32
 
 
+def test_integer_data_becomes_float64():
+    buf = TensorBuffer(np.arange(4))
+    assert buf.dtype == np.float64
+    assert buf.data.tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
+def test_view_needs_one_range_per_axis():
+    with pytest.raises(errors.InvalidCropError, match="1 ranges for a rank-2 buffer"):
+        BlockView(new_buffer([2, 2]), ((0, 1),))
+
+
 class TestBcropped:
     def test_first_block(self):
         buf = new_buffer([4, 4])
@@ -97,6 +109,10 @@ class TestBcropped:
     def test_rank2_only(self):
         with pytest.raises(errors.InvalidCropError):
             bcropped(new_buffer([4, 4, 4]), 2, 0, 0, 0, 0)
+
+    def test_block_size_zero(self):
+        with pytest.raises(errors.BlockMisalignmentError, match="block size must be >= 1, got 0"):
+            bcropped(new_buffer([4, 4]), 0, 0, 0, 0, 0)
 
 
 class TestCropped:

@@ -8,6 +8,7 @@ import pytest
 from overlaysim import errors
 from overlaysim.apps import (
     VggConfig,
+    VggWeights,
     random_input,
     seeded_weights,
     tiny_config,
@@ -31,6 +32,15 @@ class TestConfig:
     def test_spatial_divisibility_enforced(self):
         with pytest.raises(errors.ConfigurationError):
             VggConfig(30, 32, 3, (2, 2, 4, 4, 4), (8, 8, 4))
+
+    @pytest.mark.parametrize("stages, fc, batch, message", [
+        ((2, 2, 4, 4), (8, 8, 4), 1, "need 5 positive stage channels"),
+        ((2, 2, 4, 4, 4), (8, 8), 1, "need 3 positive FC widths"),
+        ((2, 2, 4, 4, 4), (8, 8, 4), 0, "in_channels and batch must be >= 1"),
+    ], ids=["four-stages", "two-fc-widths", "batch-0"])
+    def test_bad_plan_rejected(self, stages, fc, batch, message):
+        with pytest.raises(errors.ConfigurationError, match=message):
+            VggConfig(32, 32, 3, stages, fc, batch)
 
     def test_channel_plan_threads_through_stages(self):
         cfg = tiny_config()
@@ -57,6 +67,22 @@ def build_pipeline(batch=1, seed=0):
 
 
 class TestTaskGeneration:
+    def test_twelve_conv_buffers_rejected(self):
+        cfg = tiny_config()
+        w = seeded_weights(cfg, 0)
+        with pytest.raises(errors.ConfigurationError, match="need 13 conv and 3 fc weight"):
+            vgg_generate_tasks(cfg, random_input(cfg, 0), VggWeights(w.conv[:12], w.fc),
+                               vgg_overlay())
+
+    def test_misshaped_fc_matrix_rejected(self):
+        cfg = tiny_config()
+        w = seeded_weights(cfg, 0)
+        fc = [*w.fc[:2], TensorBuffer(w.fc[2].data.T)]
+        with pytest.raises(errors.ConfigurationError,
+                           match=r"fc layer 2: weights shaped \(8, 4\), expected \(4, 8\)"):
+            vgg_generate_tasks(cfg, random_input(cfg, 0), VggWeights(w.conv, fc),
+                               vgg_overlay())
+
     def test_twenty_one_tasks_per_map(self):
         _, _, _, _, tasks, _, _ = build_pipeline(batch=1)
         assert len(tasks) == 21
