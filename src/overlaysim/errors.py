@@ -24,11 +24,10 @@ class ShapeError(OverlayError):
 class SingularPivotError(OverlayError):
     """Factorization hit a pivot below the epsilon threshold."""
 
-    def __init__(self, index: int, value: float | None = None):
+    def __init__(self, index: int, value: float):
         self.index = index
         self.value = value
-        detail = "" if value is None else f" (|{value!r}| below threshold)"
-        super().__init__(f"singular pivot at index {index}{detail}")
+        super().__init__(f"singular pivot at index {index} (|{value!r}| below threshold)")
 
 
 class AliasingError(OverlayError):

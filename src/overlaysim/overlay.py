@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Real
 from typing import Callable
 
@@ -31,6 +31,8 @@ class IpDescriptor:
     own floating-point-operation estimate, which sets virtual trace times.
     access_sets derives the element footprints a task with these arguments
     will touch, including the feature buffer when flags route I/O there.
+    layout holds the positions of the views, of the flags and of the scalars
+    in the signature, the positions enqueue checks.
     """
 
     name: str
@@ -38,11 +40,16 @@ class IpDescriptor:
     run: Callable
     access_sets: Callable
     uses_feature_buffer: bool = False
+    layout: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for kind in self.signature:
-            if kind not in PARAM_KINDS:
+        positions = {kind: [] for kind in PARAM_KINDS}
+        for pos, kind in enumerate(self.signature):
+            if kind not in positions:
                 raise ConfigurationError(f"{self.name}: unknown parameter kind {kind!r}")
+            positions[kind].append(pos)
+        object.__setattr__(self, "layout", tuple(
+            tuple(positions[kind]) for kind in ("view", "flag", "scalar")))
 
 
 @dataclass(frozen=True)
@@ -83,19 +90,12 @@ class Overlay:
         needs_fb = any(ci.ip.uses_feature_buffer for ci in interfaces)
         self.feature_buffer: FeatureBuffer | None = FeatureBuffer() if needs_fb else None
         self._task_ids = itertools.count()
-        # per queue, once: its IP and where the views, flags and scalars sit
-        # in the IP's signature, the positions enqueue checks
-        self._params_of = {ci.queue_no: (ci.ip, *_positions_by_kind(ci.ip.signature))
-                           for ci in interfaces}
 
     def interface(self, queue_no: int) -> CommandInterface:
         try:
             return self.interfaces[queue_no]
         except KeyError:
-            raise self._no_queue(queue_no) from None
-
-    def _no_queue(self, queue_no) -> InvocationError:
-        return InvocationError(f"overlay {self.name!r} has no queue {queue_no}")
+            raise InvocationError(f"overlay {self.name!r} has no queue {queue_no}") from None
 
     def enqueue(self, queue_no: int, params, iteration: int,
                 kind: str | None = None) -> TaskInstance:
@@ -110,10 +110,8 @@ class Overlay:
         promote a kernel's arithmetic past the operands' dtype: every scalar
         of the same value gives the same bits.
         """
-        try:
-            ip, views, flags, scalars = self._params_of[queue_no]
-        except KeyError:
-            raise self._no_queue(queue_no) from None
+        ip = self.interface(queue_no).ip
+        views, flags, scalars = ip.layout
         params = tuple(params)
         if len(params) != len(ip.signature):
             raise InvocationError(
@@ -174,12 +172,6 @@ class Overlay:
             fh.write("\n")
 
 
-def _positions_by_kind(signature) -> tuple[tuple[int, ...], ...]:
-    """The positions of the views, of the flags and of the scalars in a signature."""
-    return tuple(tuple(pos for pos, k in enumerate(signature) if k == kind)
-                 for kind in ("view", "flag", "scalar"))
-
-
 def load_overlay(path) -> Overlay:
     """Rebuild an overlay from a manifest, rebinding kernels by name.
 
@@ -226,29 +218,23 @@ def load_overlay(path) -> Overlay:
 # ranges the kernel touches.  GEMM runs into gemm_update, since enqueue has
 # passed its operands through gemm_access_sets' shape and alias checks.
 
-IP_REGISTRY: dict[str, IpDescriptor] = {
-    "LU": IpDescriptor(
-        "LU", ("view",), lambda args, fb: kernels.lu_factor_block(*args),
-        lambda args, fb: kernels.lu_factor_block_access_sets(*args)),
-    "TransformRowPanel": IpDescriptor(
-        "TransformRowPanel", ("view",),
-        lambda args, fb: kernels.transform_row_panel(*args),
-        lambda args, fb: kernels.transform_row_panel_access_sets(*args)),
-    "TransformColumnPanel": IpDescriptor(
-        "TransformColumnPanel", ("view",),
-        lambda args, fb: kernels.transform_column_panel(*args),
-        lambda args, fb: kernels.transform_column_panel_access_sets(*args)),
-    "GEMM": IpDescriptor(
-        "GEMM", ("view", "view", "view", "scalar", "scalar", "scalar"),
-        lambda args, fb: kernels.gemm_update(*args),
-        lambda args, fb: kernels.gemm_access_sets(*args)),
-    "Convolution": IpDescriptor(
-        "Convolution", ("view", "view", "view", "flag", "flag", "flag", "flag"),
-        lambda args, fb: kernels.convolution(*args, fb),
-        lambda args, fb: kernels.convolution_access_sets(*args, fb),
-        uses_feature_buffer=True),
-    "Maxpool": IpDescriptor(
-        "Maxpool", ("view", "flag"), lambda args, fb: kernels.maxpool(*args, fb),
-        lambda args, fb: kernels.maxpool_access_sets(*args, fb),
-        uses_feature_buffer=True),
-}
+IP_REGISTRY: dict[str, IpDescriptor] = {ip.name: ip for ip in (
+    IpDescriptor("LU", ("view",), lambda args, fb: kernels.lu_factor_block(*args),
+                 lambda args, fb: kernels.lu_factor_block_access_sets(*args)),
+    IpDescriptor("TransformRowPanel", ("view",),
+                 lambda args, fb: kernels.transform_row_panel(*args),
+                 lambda args, fb: kernels.transform_row_panel_access_sets(*args)),
+    IpDescriptor("TransformColumnPanel", ("view",),
+                 lambda args, fb: kernels.transform_column_panel(*args),
+                 lambda args, fb: kernels.transform_column_panel_access_sets(*args)),
+    IpDescriptor("GEMM", ("view", "view", "view", "scalar", "scalar", "scalar"),
+                 lambda args, fb: kernels.gemm_update(*args),
+                 lambda args, fb: kernels.gemm_access_sets(*args)),
+    IpDescriptor("Convolution", ("view", "view", "view", "flag", "flag", "flag", "flag"),
+                 lambda args, fb: kernels.convolution(*args, fb),
+                 lambda args, fb: kernels.convolution_access_sets(*args, fb),
+                 uses_feature_buffer=True),
+    IpDescriptor("Maxpool", ("view", "flag"), lambda args, fb: kernels.maxpool(*args, fb),
+                 lambda args, fb: kernels.maxpool_access_sets(*args, fb),
+                 uses_feature_buffer=True),
+)}

@@ -342,6 +342,55 @@ def test_untraceable_iteration_or_kind_rejected_at_enqueue(iteration, kind):
     assert ov.enqueue(0, [block], 1).id == 1
 
 
+MIXED_IP = IpDescriptor("Mixed", ("scalar", "view", "flag", "view"),
+                        lambda args, fb: 0, lambda args, fb: ())
+
+
+@pytest.mark.parametrize("params, message", [
+    ([1.0, view_shaped(2), "no", 3.0], "parameter 3 must be a view"),
+    (["x", 2.0, True, view_shaped(2)], "parameter 1 must be a view"),
+    (["one", view_shaped(2), None, view_shaped(2)], "parameter 2 must be a flag"),
+    ([True, view_shaped(2), 0, view_shaped(2)], "parameter 2 must be a flag"),
+], ids=["view-then-flag", "view-then-scalar", "flag-then-scalar", "int-flag-then-bool-scalar"])
+def test_enqueue_checks_views_then_flags_then_scalars(params, message):
+    """With more than one parameter of the wrong kind, enqueue names the
+    first bad view, else the first bad flag, else the first bad scalar,
+    whatever their order in the signature, and uses up no task id."""
+    ov = Overlay("mixed", [command(MIXED_IP, 0)])
+    with pytest.raises(errors.InvocationError, match=f"^Mixed: {message}, got "):
+        ov.enqueue(0, params, 0)
+    assert ov.enqueue(0, [1.0, view_shaped(2), False, view_shaped(2)], 0).id == 0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lu_graph(3, 4),
+    lambda: vgg_graph(tiny_config(2)),
+], ids=["lu-3-4", "vgg-tiny-2"])
+def test_rebuilt_descriptors_enqueue_the_same_tasks(build):
+    """An overlay of descriptors rebuilt from the registry IPs' constructor
+    fields, as the benchmark's traced overlay builds them, finds the same
+    parameter layout and enqueues every task with the same args and access
+    sets."""
+    overlay, graph = build()
+    rebuilt = Overlay(overlay.name, [
+        command(IpDescriptor(ci.ip.name, ci.ip.signature, ci.ip.run, ci.ip.access_sets,
+                             ci.ip.uses_feature_buffer), q)
+        for q, ci in sorted(overlay.interfaces.items())])
+    for q, ci in overlay.interfaces.items():
+        assert rebuilt.interface(q).ip.layout == ci.ip.layout
+    # each overlay has its own feature buffer, whose cell stands for it in access sets
+    cell_id = {}
+    if overlay.feature_buffer is not None:
+        cell_id[rebuilt.feature_buffer.cell.buffer.id] = overlay.feature_buffer.cell.buffer.id
+    for task in graph.tasks:
+        again = rebuilt.enqueue(task.queue_no, task.args, task.iteration, task.kind)
+        assert again.id == task.id
+        assert again.args == task.args
+        assert [(cell_id.get(acc.buffer_id, acc.buffer_id), acc.ranges, acc.mode)
+                for acc in again.access_sets] == [
+            (acc.buffer_id, acc.ranges, acc.mode) for acc in task.access_sets]
+
+
 def buffer_shapes(overlay, tasks):
     """Buffer id -> shape for every buffer a task's views reach, plus the
     feature buffer's one-cell slot."""
